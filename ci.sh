@@ -14,6 +14,12 @@ cargo build --release --workspace
 echo "==> cargo test -q (incl. differential campaign + golden snapshots)"
 CCS_DIFF_CASES="${CCS_DIFF_CASES:-200}" cargo test -q
 
+# Benchmark package: its own workspace, so neither the tier-1 run nor
+# the workspace build above compiles it. Building and testing it here
+# catches a change to a public item it names before `run.sh` breaks.
+echo "==> benchmark package tests"
+cargo test --offline -q --manifest-path examples/benchmark/Cargo.toml
+
 # Fault-injection smoke: a bounded slice of the 100-cell seeded-fault
 # acceptance grid (panic isolation, deterministic timeouts, bit-identity
 # of the unfaulted cells). CCS_FAULT_CASES bounds the grid; the full

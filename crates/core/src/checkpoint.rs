@@ -9,9 +9,10 @@
 //! uninterrupted run (a property the test suite enforces).
 //!
 //! Records carry a *digest* of each result — the cycle count, the CPI
-//! bit pattern, and an FNV-1a hash over the full per-instruction record
-//! vector — rather than the result itself, which keeps manifests small
-//! while still detecting any divergence between a resumed and a fresh
+//! bit pattern, and [`SimResult::digest`](ccs_sim::SimResult::digest)
+//! over the counters and the full per-instruction record vector —
+//! rather than the result itself, which keeps manifests small while
+//! still detecting any divergence between a resumed and a fresh
 //! evaluation.
 //!
 //! The manifest format is hand-rolled: records are flat and the
@@ -37,25 +38,18 @@ use std::sync::{Mutex, PoisonError};
 ///
 /// Schema 1 was the pre-header format whose keys hashed the spec's
 /// `Debug` rendering. Schema 2 hashes explicitly serialized fields (see
-/// [`cell_key`]) and records an optional metrics digest. Bump this
+/// [`cell_key`]) and records an optional metrics digest. Schema 3
+/// replaces the result digest's hash of the result's `Debug` rendering
+/// with [`SimResult::digest`](ccs_sim::SimResult::digest); keys are
+/// unchanged, but every `digest` value differs. Bump this
 /// whenever either changes incompatibly; [`load_manifest`] refuses
 /// manifests whose header does not match, so stale checkpoints surface
 /// as a hard error instead of a silently wrong resume.
-pub const MANIFEST_SCHEMA: u32 = 2;
+pub const MANIFEST_SCHEMA: u32 = 3;
 
 /// The manifest's first line: format marker plus schema version.
 fn manifest_header() -> String {
     format!("{{\"manifest\":\"ccs-grid-manifest\",\"schema\":{MANIFEST_SCHEMA}}}")
-}
-
-/// 64-bit FNV-1a over `bytes`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// An FNV-1a accumulator over *explicitly serialized*, type-tagged
@@ -138,7 +132,8 @@ fn spec_fingerprint(spec: &CellSpec) -> u64 {
     // Workload axes. A scenario cell hashes the content-addressed
     // source fingerprint instead of the benchmark name; the `some`
     // type tag keeps it from ever aliasing a benchmark cell (old
-    // benchmark fingerprints are unchanged, so schema 2 holds).
+    // benchmark fingerprints are unchanged, so adding it needed no
+    // schema bump).
     match spec.scenario {
         None => fp.str(spec.benchmark.name()),
         Some(id) => {
@@ -303,8 +298,10 @@ pub struct CheckpointRecord {
     /// Bit pattern of the measured CPI (0 for failed cells) — exact
     /// equality without float-formatting round trips.
     pub cpi_bits: u64,
-    /// FNV-1a over the debug rendering of the full simulation result
-    /// (0 for failed cells). Bit-identical runs digest identically.
+    /// [`SimResult::digest`](ccs_sim::SimResult::digest) of the
+    /// measured epoch's result: its counters, every per-instruction
+    /// record and the ILP census (0 for failed cells). Bit-identical
+    /// runs digest identically.
     pub digest: u64,
     /// [`SimMetrics::digest`](ccs_sim::SimMetrics::digest) of the cell's
     /// observability counters, when the cell ran with
@@ -336,7 +333,7 @@ impl CheckpointRecord {
                 attempts: result.status.attempts(),
                 cycles: o.result.cycles,
                 cpi_bits: o.cpi().to_bits(),
-                digest: fnv1a(format!("{:?}", o.result).as_bytes()),
+                digest: o.result.digest(),
                 metrics_digest: o.metrics.as_ref().map(|m| m.digest()),
                 error: None,
                 predicted_lo: None,
@@ -409,7 +406,7 @@ impl CheckpointRecord {
         Some(CheckpointRecord {
             key: parse_str_field(line, "key")?,
             status: parse_str_field(line, "status")?,
-            attempts: parse_u64_field(line, "attempts")? as u32,
+            attempts: u32::try_from(parse_u64_field(line, "attempts")?).ok()?,
             cycles: parse_u64_field(line, "cycles")?,
             cpi_bits: parse_u64_field(line, "cpi_bits")?,
             digest: parse_u64_field(line, "digest")?,
@@ -868,6 +865,20 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_attempts_parse_as_none() {
+        let line = |attempts: &str| {
+            format!(
+                "{{\"key\":\"a/b\",\"status\":\"ok\",\"attempts\":{attempts},\"cycles\":1,\
+                 \"cpi_bits\":1,\"digest\":1,\"metrics_digest\":null,\"error\":null}}"
+            )
+        };
+        let max = CheckpointRecord::from_json_line(&line("4294967295")).expect("u32::MAX fits");
+        assert_eq!(max.attempts, u32::MAX);
+        // 2^32 + 1 must not wrap to 1.
+        assert_eq!(CheckpointRecord::from_json_line(&line("4294967297")), None);
+    }
+
+    #[test]
     fn torn_lines_parse_as_none() {
         assert_eq!(CheckpointRecord::from_json_line(""), None);
         assert_eq!(
@@ -1051,6 +1062,12 @@ mod tests {
         std::fs::write(&stale, "{\"manifest\":\"ccs-grid-manifest\",\"schema\":1}\n").unwrap();
         let err = load_manifest(&stale).unwrap_err();
         assert!(err.to_string().contains("schema 1"), "unexpected error: {err}");
+
+        // Schema 2 digested each result's `Debug` rendering; its digests
+        // must not mix with the current definition in one resume.
+        std::fs::write(&stale, "{\"manifest\":\"ccs-grid-manifest\",\"schema\":2}\n").unwrap();
+        let err = load_manifest(&stale).unwrap_err();
+        assert!(err.to_string().contains("schema 2"), "unexpected error: {err}");
 
         // Missing or empty files still load as empty maps.
         assert!(load_manifest(&dir.join("missing.jsonl")).unwrap().is_empty());

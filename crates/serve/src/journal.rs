@@ -30,7 +30,11 @@ use std::sync::{Mutex, PoisonError};
 /// Journal format version, recorded in the header line. Version 2
 /// extended `cell_done` with the result payload that recovery replays;
 /// version-1 journals cannot rebuild a cache and are rejected loudly.
-pub const JOURNAL_VERSION: u64 = 2;
+/// Version 3 carries digests from `ccs_sim::SimResult::digest` instead
+/// of a hash of the result's `Debug` rendering; replaying a version-2
+/// journal would mix both definitions in one cache, so it is rejected
+/// too.
+pub const JOURNAL_VERSION: u64 = 3;
 
 /// One journal event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -721,6 +725,20 @@ mod tests {
         assert!(
             err.to_string().contains("version 1"),
             "must name the offending version: {err}"
+        );
+
+        let path = tmp("replay-v2");
+        std::fs::write(
+            &path,
+            "{\"event\":\"started\",\"journal\":2,\"addr\":\"a\",\"workers\":1,\
+             \"queue_capacity\":8}\n",
+        )
+        .unwrap();
+        let err = replay_journal(&path).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(
+            err.to_string().contains("version 2"),
+            "digests of another definition must not replay: {err}"
         );
 
         let path = tmp("replay-headerless");

@@ -49,5 +49,5 @@ pub use protocol::{
     saturating_millis, saturating_nanos, Request, Response, ServeError, StatusReply,
     WireCellRecord, WireCellSpec, MAX_FRAME_LEN, PROTOCOL_VERSION, WIRE_POLICIES,
 };
-pub use server::{render_metrics, KillSwitch, ServeConfig, Server};
+pub use server::{render_metrics, KillSwitch, ServeConfig, Server, DEFAULT_QUEUE_CAPACITY};
 pub use wire::{frame_bytes, write_frame, FrameReader, Poll, MAGIC};

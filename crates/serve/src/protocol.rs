@@ -654,7 +654,7 @@ pub struct WireCellRecord {
     pub cycles: u64,
     /// Bit pattern of the measured CPI (0 for failed cells).
     pub cpi_bits: u64,
-    /// FNV-1a schedule digest (0 for failed cells).
+    /// Result digest, [`CheckpointRecord::digest`] (0 for failed cells).
     pub digest: u64,
     /// Whether the result came from the daemon's result cache.
     pub cached: bool,

@@ -26,7 +26,9 @@
 
 use crate::cache::ResultCache;
 use crate::journal::{Journal, JournalEvent};
-use crate::protocol::{Request, Response, StatusReply, WireCellRecord, PROTOCOL_VERSION};
+use crate::protocol::{
+    Request, Response, StatusReply, WireCellRecord, MAX_FRAME_LEN, PROTOCOL_VERSION,
+};
 use crate::wire::{write_frame, FrameReader, Poll};
 use ccs_core::checkpoint::{cell_key, CheckpointRecord};
 use ccs_core::grid::run_cells;
@@ -48,6 +50,18 @@ use std::time::{Duration, Instant};
 /// peer from adding a connect timeout to every cache miss.
 const PEER_DOWN_COOLDOWN: Duration = Duration::from_secs(2);
 
+/// Bytes the shortest legal cell adds to a `submit_grid` frame: its wire
+/// encoding with the shortest benchmark, layout and policy names and
+/// one-digit numbers, plus the separating comma (pinned by a unit test).
+const MIN_CELL_WIRE_LEN: usize = 131;
+
+/// The default admission-queue capacity: the most cells one legal
+/// [`MAX_FRAME_LEN`] frame can carry (about 8 000), so an idle daemon
+/// with the default configuration admits every grid a client can send.
+/// Admission stays all-or-nothing, and a capacity set explicitly below
+/// this still refuses larger grids as `busy`.
+pub const DEFAULT_QUEUE_CAPACITY: usize = MAX_FRAME_LEN / MIN_CELL_WIRE_LEN;
+
 /// Everything a daemon needs to know at bind time.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -55,7 +69,8 @@ pub struct ServeConfig {
     pub addr: String,
     /// Worker threads evaluating cells.
     pub workers: usize,
-    /// Admission-queue capacity (cells, not submissions).
+    /// Admission-queue capacity (cells, not submissions); defaults to
+    /// [`DEFAULT_QUEUE_CAPACITY`].
     pub queue_capacity: usize,
     /// Result-cache capacity (finished cells).
     pub cache_capacity: usize,
@@ -88,7 +103,7 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".into(),
             workers: 2,
-            queue_capacity: 256,
+            queue_capacity: DEFAULT_QUEUE_CAPACITY,
             cache_capacity: 4096,
             trace_capacity: None,
             journal: None,
@@ -971,4 +986,55 @@ fn handle_approx(
         }
     }
     write_ok
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{WireCellSpec, WIRE_POLICIES};
+    use ccs_isa::ClusterLayout;
+    use ccs_trace::Benchmark;
+
+    /// The cell with the shortest wire encoding: the shortest names,
+    /// one-digit numbers, `checked: true` (shorter than `false`) and a
+    /// one-digit cycle budget (shorter than `null`).
+    fn shortest_cell() -> WireCellSpec {
+        let bench = Benchmark::ALL.into_iter().min_by_key(|b| b.name().len());
+        let layout = ClusterLayout::ALL
+            .into_iter()
+            .min_by_key(|l| l.name().len());
+        let policy = WIRE_POLICIES.into_iter().min_by_key(|p| p.name().len());
+        let mut cell = WireCellSpec::new(bench.unwrap(), 0, 1, layout.unwrap(), policy.unwrap())
+            .with_epochs(1)
+            .with_cycle_budget(0);
+        cell.run_seed = 0;
+        cell.checked = true;
+        cell
+    }
+
+    #[test]
+    fn default_queue_capacity_admits_the_fullest_legal_frame() {
+        let cell = shortest_cell();
+        cell.to_cell().expect("the shortest cell is legal");
+        let grid = |n: usize| {
+            Request::SubmitGrid {
+                id: 0,
+                cells: vec![cell.clone(); n],
+            }
+            .encode()
+        };
+        assert_eq!(grid(2).len() - grid(1).len(), MIN_CELL_WIRE_LEN);
+        assert!(matches!(
+            Request::decode(&grid(2)),
+            Ok(Request::SubmitGrid { cells, .. }) if cells == vec![cell.clone(); 2]
+        ));
+        // A frame with one cell more than the default capacity is over
+        // the frame limit, so no legal grid outgrows an idle queue.
+        assert!(grid(DEFAULT_QUEUE_CAPACITY).len() <= MAX_FRAME_LEN);
+        assert!(grid(DEFAULT_QUEUE_CAPACITY + 1).len() > MAX_FRAME_LEN);
+        assert_eq!(
+            ServeConfig::default().queue_capacity,
+            DEFAULT_QUEUE_CAPACITY
+        );
+    }
 }

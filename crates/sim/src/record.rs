@@ -156,6 +156,52 @@ impl InstRecord {
     pub fn exec_latency(&self) -> u64 {
         self.complete - self.issue
     }
+
+    /// Every field packed, at its declared width, into the fixed words
+    /// [`SimResult::digest`](crate::SimResult::digest) hashes. Enum
+    /// variants carry explicit tags, so `Redirect(i)` and `RobFull(i)`
+    /// never pack alike, and `loc` enters as its bit pattern.
+    pub(crate) fn digest_words(&self) -> [u64; 10] {
+        let (dispatch_tag, dispatch_idx) = match self.dispatch_bound {
+            DispatchBound::FrontEnd => (0u64, 0u32),
+            DispatchBound::Redirect(i) => (1, i.raw()),
+            DispatchBound::InOrder => (2, 0),
+            DispatchBound::RobFull(i) => (3, i.raw()),
+            DispatchBound::SteerStall { freed_by: None } => (4, 0),
+            DispatchBound::SteerStall { freed_by: Some(i) } => (5, i.raw()),
+        };
+        let (ready_tag, slot, producer, fwd) = match self.ready_bound {
+            ReadyBound::Dispatch => (0u64, 0u8, 0u32, 0u32),
+            ReadyBound::Operand {
+                slot,
+                producer,
+                fwd,
+            } => (1, slot, producer.raw(), fwd),
+        };
+        let commit_tag: u64 = match self.commit_bound {
+            CommitBound::Complete => 0,
+            CommitBound::InOrder => 1,
+            CommitBound::Bandwidth => 2,
+        };
+        [
+            self.fetch,
+            self.dispatch,
+            self.ready,
+            self.issue,
+            self.complete,
+            self.commit,
+            u64::from(self.cluster)
+                | u64::from(self.mispredicted) << 8
+                | u64::from(self.l1_miss) << 9
+                | u64::from(self.predicted_critical) << 10
+                | commit_tag << 16
+                | (self.steer_cause.index() as u64) << 24
+                | u64::from(self.mem_extra) << 32,
+            dispatch_tag | ready_tag << 8 | u64::from(slot) << 16 | u64::from(dispatch_idx) << 32,
+            u64::from(producer) | u64::from(fwd) << 32,
+            u64::from(self.loc.to_bits()),
+        ]
+    }
 }
 
 #[cfg(test)]

@@ -169,6 +169,42 @@ impl SimResult {
         counts
     }
 
+    /// A 64-bit digest of every field except `config` (which callers
+    /// identify separately): the counters, each record's fields and the
+    /// ILP census, fed in a fixed order at explicit widths.
+    ///
+    /// Bit-identical runs digest identically, and the value does not
+    /// depend on `Debug` renderings or on whether metrics were observed.
+    /// Each mixing step is a bijection of the running state and of the
+    /// incoming word, so a change to any single field always changes the
+    /// digest.
+    pub fn digest(&self) -> u64 {
+        let mut h = WordMix::new();
+        for w in [
+            self.cycles,
+            self.mispredicts,
+            self.conditional_branches,
+            self.l1_misses,
+            self.l1_accesses,
+            self.global_values,
+            self.steer_stall_cycles,
+            self.records.len() as u64,
+        ] {
+            h.word(w);
+        }
+        for r in &self.records {
+            for w in r.digest_words() {
+                h.word(w);
+            }
+        }
+        h.word(self.ilp.buckets.len() as u64);
+        for &(cycles, issued) in &self.ilp.buckets {
+            h.word(cycles);
+            h.word(issued);
+        }
+        h.finish()
+    }
+
     /// Number of clusters that executed more than `threshold` of the
     /// instructions — the utilization measure behind §7's observation
     /// that much of gzip's stall-over-steer speedup happens "in long
@@ -180,6 +216,31 @@ impl SimResult {
             .iter()
             .filter(|&&c| c as f64 / total > threshold)
             .count()
+    }
+}
+
+/// The word-at-a-time mixer behind [`SimResult::digest`]: xor the word
+/// in, multiply by an odd constant, rotate. Every step is invertible, and
+/// a murmur-style finalizer spreads the last words over all output bits.
+struct WordMix(u64);
+
+impl WordMix {
+    fn new() -> Self {
+        WordMix(0xcbf2_9ce4_8422_2325)
+    }
+
+    #[inline]
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0 ^ w)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(26);
+    }
+
+    fn finish(self) -> u64 {
+        let mut z = self.0;
+        z = (z ^ (z >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+        z = (z ^ (z >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        z ^ (z >> 33)
     }
 }
 
@@ -228,6 +289,183 @@ mod tests {
             ilp: IlpCensus::default(),
             steer_stall_cycles: 0,
         }
+    }
+
+    /// A named single-field perturbation.
+    type Mutation<T> = (&'static str, fn(&mut T));
+
+    /// A schedule from a real run, to perturb one field at a time.
+    fn real_result() -> SimResult {
+        let trace = ccs_trace::Benchmark::Gzip.generate(1, 2_000);
+        let config = MachineConfig::micro05_baseline().with_layout(ccs_isa::ClusterLayout::C4x2w);
+        crate::simulate(&config, &trace, &mut crate::policies::LeastLoaded).unwrap()
+    }
+
+    #[test]
+    fn digest_changes_with_every_field() {
+        use crate::{CommitBound, DispatchBound, ReadyBound, SteerCause};
+        use ccs_trace::DynIdx;
+        let base = real_result();
+        let digest = base.digest();
+        let record_mutations: [Mutation<InstRecord>; 21] = [
+            ("fetch", |r| r.fetch += 1),
+            ("dispatch", |r| r.dispatch += 1),
+            ("ready", |r| r.ready += 1),
+            ("issue", |r| r.issue += 1),
+            ("complete", |r| r.complete += 1),
+            ("commit", |r| r.commit += 1),
+            ("cluster", |r| r.cluster ^= 1),
+            ("mispredicted", |r| r.mispredicted ^= true),
+            ("l1_miss", |r| r.l1_miss ^= true),
+            ("mem_extra", |r| r.mem_extra += 1),
+            ("dispatch_bound variant", |r| {
+                r.dispatch_bound = match r.dispatch_bound {
+                    DispatchBound::InOrder => DispatchBound::FrontEnd,
+                    _ => DispatchBound::InOrder,
+                }
+            }),
+            ("dispatch_bound index", |r| {
+                r.dispatch_bound = match r.dispatch_bound {
+                    DispatchBound::Redirect(i) => DispatchBound::Redirect(DynIdx::new(i.raw() + 1)),
+                    _ => DispatchBound::Redirect(DynIdx::new(0)),
+                }
+            }),
+            ("steer stall freed_by", |r| {
+                r.dispatch_bound = match r.dispatch_bound {
+                    DispatchBound::SteerStall { freed_by: None } => DispatchBound::SteerStall {
+                        freed_by: Some(DynIdx::new(0)),
+                    },
+                    _ => DispatchBound::SteerStall { freed_by: None },
+                }
+            }),
+            ("ready_bound variant", |r| {
+                r.ready_bound = match r.ready_bound {
+                    ReadyBound::Dispatch => ReadyBound::Operand {
+                        slot: 0,
+                        producer: DynIdx::new(0),
+                        fwd: 0,
+                    },
+                    ReadyBound::Operand { .. } => ReadyBound::Dispatch,
+                }
+            }),
+            ("ready_bound slot", |r| {
+                if let ReadyBound::Operand { slot, .. } = &mut r.ready_bound {
+                    *slot ^= 1;
+                }
+            }),
+            ("ready_bound producer", |r| {
+                if let ReadyBound::Operand { producer, .. } = &mut r.ready_bound {
+                    *producer = DynIdx::new(producer.raw() + 1);
+                }
+            }),
+            ("ready_bound fwd", |r| {
+                if let ReadyBound::Operand { fwd, .. } = &mut r.ready_bound {
+                    *fwd += 1;
+                }
+            }),
+            ("commit_bound", |r| {
+                r.commit_bound = match r.commit_bound {
+                    CommitBound::Bandwidth => CommitBound::InOrder,
+                    _ => CommitBound::Bandwidth,
+                }
+            }),
+            ("steer_cause", |r| {
+                r.steer_cause = match r.steer_cause {
+                    SteerCause::Proactive => SteerCause::NoDeps,
+                    _ => SteerCause::Proactive,
+                }
+            }),
+            ("predicted_critical", |r| r.predicted_critical ^= true),
+            ("loc", |r| r.loc = f32::from_bits(r.loc.to_bits() ^ 1)),
+        ];
+        // One record with operand-bound readiness, so the operand payload
+        // mutations hit live fields.
+        let i = base
+            .records
+            .iter()
+            .position(|r| matches!(r.ready_bound, ReadyBound::Operand { .. }))
+            .expect("some instruction waits on an operand");
+        for (name, mutate) in record_mutations {
+            let mut drifted = base.clone();
+            mutate(&mut drifted.records[i]);
+            assert_ne!(
+                drifted.records[i], base.records[i],
+                "{name} mutation is a no-op"
+            );
+            assert_ne!(drifted.digest(), digest, "digest misses {name}");
+        }
+
+        let result_mutations: [Mutation<SimResult>; 10] = [
+            ("cycles", |r| r.cycles += 1),
+            ("mispredicts", |r| r.mispredicts += 1),
+            ("conditional_branches", |r| r.conditional_branches += 1),
+            ("l1_misses", |r| r.l1_misses += 1),
+            ("l1_accesses", |r| r.l1_accesses += 1),
+            ("global_values", |r| r.global_values += 1),
+            ("steer_stall_cycles", |r| r.steer_stall_cycles += 1),
+            ("records", |r| {
+                r.records.pop();
+            }),
+            ("ilp bucket", |r| r.ilp.record(1, 1)),
+            ("ilp length", |r| r.ilp.buckets.push((0, 0))),
+        ];
+        for (name, mutate) in result_mutations {
+            let mut drifted = base.clone();
+            mutate(&mut drifted);
+            assert_ne!(drifted.digest(), digest, "digest misses {name}");
+        }
+
+        // `config` is identified by the cell key, not the digest.
+        let mut other_config = base.clone();
+        other_config.config = MachineConfig::micro05_baseline();
+        assert_eq!(other_config.digest(), digest);
+    }
+
+    #[test]
+    fn digest_tags_enum_variants() {
+        use crate::DispatchBound;
+        use ccs_trace::DynIdx;
+        let i = DynIdx::new(7);
+        let variants = [
+            DispatchBound::FrontEnd,
+            DispatchBound::InOrder,
+            DispatchBound::Redirect(i),
+            DispatchBound::RobFull(i),
+            DispatchBound::SteerStall { freed_by: Some(i) },
+            DispatchBound::SteerStall { freed_by: None },
+        ];
+        let mut digests: Vec<u64> = variants
+            .iter()
+            .map(|&bound| {
+                let mut r = empty_result();
+                let mut rec = InstRecord::empty();
+                rec.dispatch_bound = bound;
+                r.records.push(rec);
+                r.digest()
+            })
+            .collect();
+        digests.sort_unstable();
+        digests.dedup();
+        assert_eq!(digests.len(), variants.len(), "variants digest alike");
+    }
+
+    #[test]
+    fn digest_is_a_pure_function_of_the_schedule() {
+        let a = real_result();
+        assert_eq!(a.digest(), a.digest());
+        assert_eq!(a.digest(), real_result().digest(), "rerun digests alike");
+
+        let trace = ccs_trace::Benchmark::Gzip.generate(1, 2_000);
+        let mut observer = crate::RunObserver::for_machine(a.config.cluster_count());
+        let observed = crate::simulate_observed(
+            &a.config,
+            &trace,
+            &mut crate::policies::LeastLoaded,
+            &crate::SimBudget::unbounded(),
+            &mut observer,
+        )
+        .unwrap();
+        assert_eq!(observed.digest(), a.digest(), "metrics change the digest");
     }
 
     #[test]

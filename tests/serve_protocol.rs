@@ -352,6 +352,43 @@ fn slow_loris_partial_frame_is_timed_out_with_a_typed_error() {
 }
 
 #[test]
+fn default_daemon_admits_a_grid_larger_than_256_cells() {
+    // No explicit capacity: an idle daemon with the default
+    // configuration must take a 360-cell grid in one all-or-nothing
+    // admission instead of refusing it as busy.
+    let server = Server::bind(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    })
+    .expect("bind loopback");
+    let addr = server.local_addr();
+    let handle = std::thread::spawn(move || server.run().expect("serve until drain"));
+
+    let cells: Vec<WireCellSpec> = (0..360u64)
+        .map(|k| {
+            WireCellSpec::new(
+                ccs_trace::Benchmark::ALL[(k % 12) as usize],
+                1 + k / 12,
+                60,
+                ccs_isa::ClusterLayout::C2x4w,
+                ccs_core::PolicyKind::Focused,
+            )
+            .with_epochs(1)
+        })
+        .collect();
+    let mut client = Client::connect(&addr.to_string()).expect("connect");
+    let outcome = client
+        .submit_grid(&cells, |_| {})
+        .expect("an idle default daemon admits the grid");
+    assert!(outcome.is_complete());
+    assert_eq!(outcome.ok, cells.len(), "every record ok");
+    assert_eq!(outcome.exit_code(), 0);
+
+    client.drain().expect("drain");
+    handle.join().expect("clean exit");
+}
+
+#[test]
 fn busy_retries_exhaust_into_a_typed_error() {
     use ccs_client::RetryPolicy;
 
