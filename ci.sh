@@ -46,24 +46,25 @@ cargo test --release --test metrics_observability -q
 # (every case must land inside its predicted cycle/IPC envelope; the
 # full 200-case run plus the whole golden corpus happens in the plain
 # `cargo test` above) and the bound-mutation tests proving each
-# check_bounds rule is non-vacuous. Then the approx-vs-full loadgen
-# comparison, which asserts the envelope tier is measurably cheaper
-# than simulation.
+# check_bounds rule is non-vacuous. Then the approx-vs-full serve
+# test, which sends one seeded cell mix to two fresh daemons and
+# asserts the envelope tier answers it faster than simulation.
 echo "==> predict bounds smoke (CCS_PREDICT_CASES=${CCS_PREDICT_CASES:-40})"
 CCS_PREDICT_CASES="${CCS_PREDICT_CASES:-40}" \
     cargo test --release --test predict_bounds -q
 cargo test --release -p ccs-verify bound -q
-cargo run --release --example loadgen -- --approx --out "$(mktemp -u)" >/dev/null
+cargo test --release --test serve_approx -q envelope_tier_answers_a_cell_mix_faster
 echo "    envelope tier measurably cheaper than simulation"
 
 # Serve smoke: boot the daemon on an ephemeral loopback port, run a
-# small grid through the client CLI and a bounded loadgen against it,
-# then drain and require a clean exit 0. The roundtrip/protocol test
-# suites above prove bit-identity and fault tolerance; this stage proves
-# the *shipped binaries* wire together.
-echo "==> ccs-serve smoke (daemon + client grid + loadgen + drain)"
-cargo build --release --example loadgen
+# small campaign against it through `grid_campaign --server` (a
+# one-shard ring) and two concurrent client-CLI grids, then drain and
+# require a clean exit 0. The roundtrip/protocol test suites above
+# prove bit-identity and fault tolerance; this stage proves the
+# *shipped binaries* wire together.
+echo "==> ccs-serve smoke (daemon + campaign + 2 concurrent client grids + drain)"
 SERVE_LOG="$(mktemp)"
+SERVE_MANIFEST="$(mktemp -u)"
 target/release/ccs-serve --addr 127.0.0.1:0 >"$SERVE_LOG" 2>&1 &
 SERVE_PID=$!
 for _ in $(seq 1 100); do
@@ -73,12 +74,25 @@ for _ in $(seq 1 100); do
     sleep 0.1
 done
 [ -n "$SERVE_ADDR" ] || { echo "daemon never reported its address"; cat "$SERVE_LOG"; exit 1; }
-CCS_LEN=1000 CCS_EPOCHS=1 CCS_SAMPLES=1 \
+CCS_LEN=1000 CCS_EPOCHS=1 CCS_SAMPLES=1 CCS_MANIFEST="$SERVE_MANIFEST" \
     target/release/grid_campaign --server "$SERVE_ADDR" >/dev/null
+SERVE_RECORDS="$(grep -c '"digest"' "$SERVE_MANIFEST")"
+[ "$SERVE_RECORDS" -gt 0 ] || { echo "campaign wrote no manifest records"; exit 1; }
+rm -f "$SERVE_MANIFEST"
+echo "    grid_campaign --server wrote $SERVE_RECORDS manifest records"
 target/release/ccs-client --server "$SERVE_ADDR" status >/dev/null
-target/release/examples/loadgen --server "$SERVE_ADDR" \
-    --clients 2 --requests 2 --batch 2 --len 1000 \
-    --out "$(mktemp -u)" >/dev/null
+target/release/ccs-client --server "$SERVE_ADDR" grid --len 1000 --epochs 1 \
+    --bench gzip --bench mcf >/dev/null &
+CLIENT1_PID=$!
+target/release/ccs-client --server "$SERVE_ADDR" grid --len 1000 --epochs 1 \
+    --bench mcf --bench vpr --seed 2 >/dev/null &
+CLIENT2_PID=$!
+for pid in "$CLIENT1_PID" "$CLIENT2_PID"; do
+    CLIENT_EXIT=0
+    wait "$pid" || CLIENT_EXIT=$?
+    [ "$CLIENT_EXIT" -eq 0 ] || { echo "client grid exited $CLIENT_EXIT"; cat "$SERVE_LOG"; exit 1; }
+done
+echo "    both concurrent client grids exited 0"
 target/release/ccs-client --server "$SERVE_ADDR" drain >/dev/null
 SERVE_EXIT=0
 wait "$SERVE_PID" || SERVE_EXIT=$?
@@ -153,25 +167,36 @@ done
 rm -rf "$SHARD_DIR"
 echo "    both shards drained cleanly (exit 0)"
 
-# Perf smoke: regenerate the grid-throughput measurement at a small
-# scale (default trace length, best-of-2) into a scratch file and fail
-# if the parallel executor regresses against serial. On a single-core
-# host the parallel path degenerates to the serial one, so speedup is
-# 1.0 +/- timer noise; multi-core hosts must actually go faster.
-echo "==> grid perf smoke (bench_grid, best-of-${CCS_BENCH_REPS:-2})"
-PERF_JSON="$(mktemp)"
-CCS_BENCH_REPS="${CCS_BENCH_REPS:-2}" CCS_THREADS=auto CCS_BENCH_OUT="$PERF_JSON" \
-    target/release/bench_grid >/dev/null
-MIN_SPEEDUP=1.0
-[ "$(nproc)" -le 1 ] && MIN_SPEEDUP=0.9
-grep -o '"speedup": [0-9.]*' "$PERF_JSON" | awk -v min="$MIN_SPEEDUP" '
-    { n += 1
-      if ($2 + 0 < min + 0) { printf "    parallel speedup %s < %s\n", $2, min; bad = 1 }
-      else { printf "    parallel speedup %s ok (>= %s)\n", $2, min } }
-    END { if (n == 0) { print "    no speedup rows in bench output"; exit 1 }
-          exit bad }' \
-    || { echo "parallel grid executor regressed"; exit 1; }
-rm -f "$PERF_JSON"
+# Perf smoke: time the in-process grid campaign (120 cells at 20 000
+# instructions) serially and with CCS_THREADS=auto, best of 2 each,
+# every run into a fresh scratch manifest, and fail if the parallel
+# executor regresses against serial. On a single-core host the parallel
+# path degenerates to the serial one, so speedup is 1.0 +/- timer
+# noise; multi-core hosts must actually go faster.
+echo "==> grid perf smoke (grid_campaign serial vs auto, best of 2)"
+campaign_ns() { # threads -> best-of-2 wall time in nanoseconds
+    local best= t0 dt manifest
+    for _ in 1 2; do
+        manifest="$(mktemp -u)"
+        t0=$(date +%s%N)
+        CCS_LEN=20000 CCS_SAMPLES=1 CCS_THREADS="$1" CCS_MANIFEST="$manifest" \
+            target/release/grid_campaign >/dev/null || return 1
+        dt=$(( $(date +%s%N) - t0 ))
+        rm -f "$manifest"
+        if [ -z "$best" ] || [ "$dt" -lt "$best" ]; then best=$dt; fi
+    done
+    echo "$best"
+}
+SERIAL_NS="$(campaign_ns 1)"
+AUTO_NS="$(campaign_ns auto)"
+SPEEDUP_X100=$(( SERIAL_NS * 100 / AUTO_NS ))
+MIN_X100=100
+[ "$(nproc)" -le 1 ] && MIN_X100=90
+printf "    serial %d ms, auto %d ms: parallel speedup %d.%02d (need >= %d.%02d)\n" \
+    $(( SERIAL_NS / 1000000 )) $(( AUTO_NS / 1000000 )) \
+    $(( SPEEDUP_X100 / 100 )) $(( SPEEDUP_X100 % 100 )) \
+    $(( MIN_X100 / 100 )) $(( MIN_X100 % 100 ))
+[ "$SPEEDUP_X100" -ge "$MIN_X100" ] || { echo "parallel grid executor regressed"; exit 1; }
 
 # Adaptive-tier smoke: both dynamic policies (the online switcher and
 # ineffectuality steering) across the 12-benchmark grid in checked

@@ -15,33 +15,30 @@
 //! manifest record. Ordering is metadata-only: every simulated bit is
 //! identical with it on or off.
 //!
-//! With `--server HOST:PORT` (or `CCS_SERVER`) the same grid is
-//! submitted to a running `ccs-serve` daemon instead of being evaluated
-//! in-process; results stream back per cell and the exit codes are
-//! unchanged. Checkpointing and `--resume` are the daemon's business in
-//! that mode (it caches and journals server-side), so the manifest is
-//! not written.
+//! With `--servers A,B,C` (or `CCS_SERVERS`) the grid is submitted to
+//! running `ccs-serve` daemons instead of being evaluated in-process,
+//! *sharded*: each cell routes to the daemon owning its key on a
+//! consistent-hash ring, and cells a shard fails to answer ride the
+//! ring to the next successor. `--server HOST:PORT` (or `CCS_SERVER`)
+//! is the same path over a one-shard ring. Results are bit-identical
+//! wherever a cell lands, and the exit codes are unchanged; a daemon
+//! that never answers leaves the campaign incomplete (`2`).
+//! Checkpointing and `--resume` are the daemons' business in this mode
+//! (they cache and journal server-side). `CCS_MANIFEST` (when set)
+//! receives one checkpoint-record JSON line per answered cell, sorted
+//! by key, so scripts can diff a remote campaign's digests against a
+//! local run.
 //!
 //! With `--scenario FILE` (or `CCS_SCENARIO`) the campaign runs one
 //! `ccs-scenario` manifest instead of the twelve benchmarks: the file
 //! is parsed, validated, and registered content-addressed, and the same
 //! layout × policy × seed sweep runs over the scenario workload. Works
-//! in-process, against `--server`, and sharded across `--servers` (the
-//! manifest travels in the wire cells, so remote daemons re-register
-//! the identical source).
-//!
-//! With `--servers A,B,C` (or `CCS_SERVERS`) the grid is *sharded*:
-//! each cell routes to the daemon owning its key on a consistent-hash
-//! ring, and cells a shard fails to answer ride the ring to the next
-//! successor. Results are bit-identical wherever a cell lands. In this
-//! mode `CCS_MANIFEST` (when set) receives one checkpoint-record JSON
-//! line per answered cell, sorted by key, so scripts can diff a sharded
-//! campaign's digests against a local or single-daemon run.
+//! in-process and against `--server`/`--servers` (the manifest travels
+//! in the wire cells, so remote daemons re-register the identical
+//! source).
 
-use ccs_bench::{
-    cpi_stack_report, scenario_target, server_target, servers_target, HarnessOptions, TextTable,
-};
-use ccs_client::{Client, ClusterClient};
+use ccs_bench::{cpi_stack_report, scenario_target, servers_target, HarnessOptions, TextTable};
+use ccs_client::ClusterClient;
 use ccs_core::checkpoint::{run_campaign, CampaignOptions, CheckpointRecord};
 use ccs_core::{fetch_cell_trace, CellSpec, PolicyKind, ShardMap};
 use ccs_isa::{ClusterLayout, MachineConfig};
@@ -57,70 +54,6 @@ fn workload_col(spec: &CellSpec) -> String {
     } else {
         format!("{:?}", spec.benchmark)
     }
-}
-
-/// Submits the specs to a serve daemon and renders the same table the
-/// in-process path prints. Exit codes mirror the local campaign.
-fn run_against_server(server: &str, specs: &[CellSpec]) -> i32 {
-    let mut cells = Vec::with_capacity(specs.len());
-    for spec in specs {
-        match WireCellSpec::from_cell(spec) {
-            Ok(cell) => cells.push(cell),
-            Err(e) => {
-                eprintln!("cell not wire-addressable: {e}");
-                return 3;
-            }
-        }
-    }
-    let mut client = match Client::connect(server) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("grid_campaign: {e}");
-            return 3;
-        }
-    };
-    println!("grid campaign: {} cells via server {server}", cells.len());
-    let outcome = match client.submit_grid_with_retry(&cells, 10, |_| {}) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("grid_campaign: {e}");
-            return 3;
-        }
-    };
-    let mut table = TextTable::new(
-        ["bench", "layout", "policy", "seed", "status", "att", "CPI / error"]
-            .map(String::from)
-            .to_vec(),
-    );
-    for (spec, record) in specs.iter().zip(&outcome.records) {
-        let (status, attempts, detail) = match record {
-            Some(r) => (
-                r.status.clone(),
-                r.attempts.to_string(),
-                if r.is_ok() {
-                    format!("{:.4}{}", r.cpi(), if r.cached { " (cached)" } else { "" })
-                } else {
-                    r.error.clone().unwrap_or_default()
-                },
-            ),
-            None => ("UNFINISHED".to_string(), "-".to_string(), String::new()),
-        };
-        table.row(vec![
-            workload_col(spec),
-            format!("{:?}", spec.config.layout),
-            format!("{:?}", spec.policy),
-            spec.sample_seed.to_string(),
-            status,
-            attempts,
-            detail,
-        ]);
-    }
-    println!("{table}");
-    println!(
-        "server grid done: {} ok, {} failed, {} timed out, {} cached",
-        outcome.ok, outcome.failed, outcome.timed_out, outcome.cached
-    );
-    outcome.exit_code()
 }
 
 /// Shards the specs across a daemon cluster with ring failover and
@@ -291,9 +224,6 @@ fn main() {
     if let Some(servers) = servers_target() {
         let manifest = std::env::var("CCS_MANIFEST").ok();
         std::process::exit(run_against_cluster(&servers, &specs, manifest.as_deref()));
-    }
-    if let Some(server) = server_target() {
-        std::process::exit(run_against_server(&server, &specs));
     }
 
     println!(

@@ -1,17 +1,8 @@
 //! Runs the headline exhibits and writes a markdown reproduction report
-//! to stdout (redirect into `results/REPORT.md`), plus grid-executor
-//! throughput measurements to `results/BENCH_grid.json` when the
-//! `results/` directory exists.
-use ccs_bench::{grid_benchmark_json, make_report, HarnessOptions};
+//! to stdout (redirect into `results/REPORT.md`).
+use ccs_bench::{make_report, HarnessOptions};
 
 fn main() {
     let opts = HarnessOptions::from_env_and_args();
     print!("{}", make_report(&opts));
-
-    let json = grid_benchmark_json(&opts);
-    let path = std::path::Path::new("results").join("BENCH_grid.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("note: could not write {}: {e}", path.display()),
-    }
 }

@@ -33,6 +33,6 @@ mod report;
 mod table;
 
 pub use obsreport::cpi_stack_report;
-pub use options::{scenario_target, server_target, servers_target, HarnessOptions};
-pub use report::{grid_benchmark_json, make_report};
+pub use options::{scenario_target, servers_target, HarnessOptions};
+pub use report::make_report;
 pub use table::TextTable;

@@ -62,27 +62,33 @@ impl HarnessOptions {
     /// timings and a CPI stack. `CCS_PREDICT_ORDER=1` orders campaign
     /// cells best-first by their analytic cycle bound.
     pub fn from_env() -> Self {
-        let parse = |name: &str, default: u64| -> u64 {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-        };
-        let threads_auto = std::env::var("CCS_THREADS").is_ok_and(|v| v == "auto");
+        Self::from_vars(|name| std::env::var(name).ok())
+    }
+
+    /// [`from_env`](Self::from_env) over an arbitrary variable lookup.
+    /// Each variable is parsed at its field's type, so a value that is
+    /// unparsable or out of range for the field (`CCS_EPOCHS=4294967297`,
+    /// `CCS_THREADS=auto`) falls back to the default instead of
+    /// wrapping.
+    fn from_vars(var: impl Fn(&str) -> Option<String>) -> Self {
+        fn parse<T: std::str::FromStr>(value: Option<String>, default: T) -> T {
+            value.and_then(|v| v.parse().ok()).unwrap_or(default)
+        }
+        let flag = |name: &str| parse(var(name), 0u64) != 0;
         HarnessOptions {
-            len: parse("CCS_LEN", 20_000) as usize,
-            seed: parse("CCS_SEED", 1),
-            epochs: parse("CCS_EPOCHS", 2) as u32,
-            samples: parse("CCS_SAMPLES", 1) as u32,
-            threads: parse("CCS_THREADS", 0) as usize,
-            threads_auto,
-            checked: parse("CCS_CHECKED", 0) != 0,
-            resume: parse("CCS_RESUME", 0) != 0,
-            predict_order: parse("CCS_PREDICT_ORDER", 0) != 0,
-            max_attempts: parse("CCS_MAX_ATTEMPTS", 1).max(1) as u32,
-            deadline_ms: parse("CCS_DEADLINE_MS", 0),
-            cycle_budget: parse("CCS_CYCLE_BUDGET", 0),
-            metrics: parse("CCS_METRICS", 0) != 0,
+            len: parse(var("CCS_LEN"), 20_000),
+            seed: parse(var("CCS_SEED"), 1),
+            epochs: parse(var("CCS_EPOCHS"), 2),
+            samples: parse(var("CCS_SAMPLES"), 1),
+            threads: parse(var("CCS_THREADS"), 0),
+            threads_auto: var("CCS_THREADS").is_some_and(|v| v == "auto"),
+            checked: flag("CCS_CHECKED"),
+            resume: flag("CCS_RESUME"),
+            predict_order: flag("CCS_PREDICT_ORDER"),
+            max_attempts: parse(var("CCS_MAX_ATTEMPTS"), 1u32).max(1),
+            deadline_ms: parse(var("CCS_DEADLINE_MS"), 0),
+            cycle_budget: parse(var("CCS_CYCLE_BUDGET"), 0),
+            metrics: flag("CCS_METRICS"),
         }
     }
 
@@ -201,22 +207,20 @@ impl Default for HarnessOptions {
     }
 }
 
-/// The serve-daemon address the harness should submit to instead of
-/// evaluating in-process: `--server HOST:PORT` / `--server=HOST:PORT`
-/// on the command line, else the `CCS_SERVER` environment variable,
-/// else `None` (run locally). Kept outside [`HarnessOptions`] so that
-/// struct stays `Copy`.
-pub fn server_target() -> Option<String> {
+/// The value of `--NAME VALUE` / `--NAME=VALUE` on the command line,
+/// else the environment variable `env` when set and non-empty.
+fn flag_or_env(name: &str, env: &str) -> Option<String> {
+    let flag = format!("--{name}");
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        if let Some(v) = arg.strip_prefix("--server=") {
+        if let Some(v) = arg.strip_prefix(&flag).and_then(|v| v.strip_prefix('=')) {
             return Some(v.to_string());
         }
-        if arg == "--server" {
+        if arg == flag {
             return args.next();
         }
     }
-    std::env::var("CCS_SERVER").ok().filter(|s| !s.is_empty())
+    std::env::var(env).ok().filter(|s| !s.is_empty())
 }
 
 /// The scenario manifest the campaign should run instead of the twelve
@@ -226,44 +230,26 @@ pub fn server_target() -> Option<String> {
 /// campaign registers it and sweeps the same layout × policy × seed
 /// axes over the scenario workload.
 pub fn scenario_target() -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if let Some(v) = arg.strip_prefix("--scenario=") {
-            return Some(v.to_string());
-        }
-        if arg == "--scenario" {
-            return args.next();
-        }
-    }
-    std::env::var("CCS_SCENARIO").ok().filter(|s| !s.is_empty())
+    flag_or_env("scenario", "CCS_SCENARIO")
 }
 
-/// The shard addresses for a multi-daemon campaign: `--servers a,b,c` /
-/// `--servers=a,b,c` on the command line, else the comma-separated
-/// `CCS_SERVERS` environment variable, else `None`. Takes precedence
-/// over [`server_target`] when both are given — a list of one behaves
-/// like `--server` plus consistent-hash routing.
+/// The daemons a campaign should submit to instead of evaluating
+/// in-process: `--servers a,b,c` / `--servers=a,b,c` (or the
+/// comma-separated `CCS_SERVERS`), else the single address of
+/// `--server HOST:PORT` (or `CCS_SERVER`) as a one-shard list, else
+/// `None` (run locally). Kept outside [`HarnessOptions`] so that
+/// struct stays `Copy`.
 pub fn servers_target() -> Option<Vec<String>> {
-    let parse = |list: &str| -> Vec<String> {
-        list.split(',')
+    let list: Vec<String> = match flag_or_env("servers", "CCS_SERVERS") {
+        Some(list) => list
+            .split(',')
             .map(str::trim)
             .filter(|s| !s.is_empty())
             .map(String::from)
-            .collect()
+            .collect(),
+        None => flag_or_env("server", "CCS_SERVER").into_iter().collect(),
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if let Some(v) = arg.strip_prefix("--servers=") {
-            return Some(parse(v)).filter(|v| !v.is_empty());
-        }
-        if arg == "--servers" {
-            return args.next().map(|v| parse(&v)).filter(|v| !v.is_empty());
-        }
-    }
-    std::env::var("CCS_SERVERS")
-        .ok()
-        .map(|v| parse(&v))
-        .filter(|v| !v.is_empty())
+    Some(list).filter(|l| !l.is_empty())
 }
 
 #[cfg(test)]
@@ -317,6 +303,43 @@ mod tests {
         assert!(o.effective_threads() >= 1);
         o.threads = 3;
         assert_eq!(o.effective_threads(), 3);
+    }
+
+    #[test]
+    fn numeric_variables_parse_at_their_field_type() {
+        let opts = |vars: &[(&str, &str)]| {
+            let vars: std::collections::HashMap<String, String> = vars
+                .iter()
+                .map(|&(k, v)| (k.to_string(), v.to_string()))
+                .collect();
+            HarnessOptions::from_vars(|name| vars.get(name).cloned())
+        };
+        let defaults = opts(&[]);
+        assert_eq!(
+            (defaults.len, defaults.epochs, defaults.samples),
+            (20_000, 2, 1)
+        );
+        let set = opts(&[
+            ("CCS_SAMPLES", "3"),
+            ("CCS_EPOCHS", "4"),
+            ("CCS_MAX_ATTEMPTS", "5"),
+        ]);
+        assert_eq!((set.samples, set.epochs, set.max_attempts), (3, 4, 5));
+        // Out of range for a u32 field: the default, not the value
+        // modulo 2^32.
+        let wide = opts(&[
+            ("CCS_SAMPLES", "4294967298"),
+            ("CCS_EPOCHS", "4294967297"),
+            ("CCS_MAX_ATTEMPTS", "4294967296"),
+        ]);
+        assert_eq!((wide.samples, wide.epochs, wide.max_attempts), (1, 2, 1));
+        assert_eq!(wide.sample_seeds(), vec![1]);
+        // `auto` is not a count: `threads` keeps its default and the
+        // auto flag is set.
+        let auto = opts(&[("CCS_THREADS", "auto")]);
+        assert_eq!((auto.threads, auto.threads_auto), (0, true));
+        assert_eq!(opts(&[("CCS_THREADS", "3")]).threads, 3);
+        assert_eq!(opts(&[("CCS_SEED", "18446744073709551616")]).seed, 1);
     }
 
     #[test]

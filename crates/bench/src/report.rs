@@ -144,139 +144,9 @@ pub fn make_report(opts: &HarnessOptions) -> String {
     md
 }
 
-/// Times reference grids (one row per trace length) serially and in
-/// parallel, plus a trace fetch on a cold and a warm cache, and renders
-/// the measurements as a JSON object (the `make_report` binary writes
-/// it to `results/BENCH_grid.json`).
-///
-/// This is the machine-readable counterpart of the
-/// `grid_throughput` criterion bench: small enough to ride along with
-/// every report run, stable enough to track the executor's scaling.
-///
-/// By default one row runs at `min(opts.len, 4000)` over a 108-cell
-/// grid (12 benchmarks × 3 clustered layouts × 3 seeds).
-/// `CCS_BENCH_LENS` (comma-separated trace lengths, e.g.
-/// `4000,100000,1000000`) selects the rows instead; lengths of 100k+
-/// shrink the grid (12 and 6 cells respectively) to keep the runtime
-/// bounded. `CCS_BENCH_REPS` (default 1) repeats every timed region and
-/// keeps the minimum — the robust estimator on a noisy host.
-pub fn grid_benchmark_json(opts: &HarnessOptions) -> String {
-    use ccs_core::{GridRequest, PolicyKind};
-    use ccs_trace::{Benchmark, TraceStore};
-    use std::time::Instant;
-
-    let reps: usize = std::env::var("CCS_BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-        .max(1);
-    let best_of = |reps: usize, f: &mut dyn FnMut()| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            f();
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        best
-    };
-    let lens: Vec<usize> = std::env::var("CCS_BENCH_LENS")
-        .ok()
-        .map(|v| v.split(',').filter_map(|s| s.trim().parse().ok()).collect())
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| vec![opts.len.min(4_000)]);
-
-    // Trace fetch: cold (private store, forces generation) vs hit.
-    let probe_len = lens[0];
-    let private = TraceStore::new();
-    let t0 = Instant::now();
-    private.get(Benchmark::Vpr, opts.seed, probe_len);
-    let cold_secs = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    private.get(Benchmark::Vpr, opts.seed, probe_len);
-    let hit_secs = t0.elapsed().as_secs_f64();
-
-    let mut rows = String::new();
-    for (r, &len) in lens.iter().enumerate() {
-        // Long traces get fewer cells so a row stays seconds, not
-        // minutes; short traces get a 100+-cell grid so scheduling
-        // overhead (spawn/join, chunk claims) is actually visible.
-        let (benches, n_seeds): (&[Benchmark], u64) = if len <= 10_000 {
-            (&Benchmark::ALL, 3)
-        } else if len <= 100_000 {
-            (&[Benchmark::Vpr, Benchmark::Gzip, Benchmark::Mcf, Benchmark::Gcc], 1)
-        } else {
-            (&[Benchmark::Vpr, Benchmark::Gcc], 1)
-        };
-        let specs = GridRequest::new(ccs_isa::MachineConfig::micro05_baseline(), len)
-            .benchmarks(benches.iter().copied())
-            .layouts(ClusterLayout::CLUSTERED)
-            .policies([PolicyKind::Focused])
-            .sample_seeds((0..n_seeds).map(|k| opts.seed + 1_000 * k))
-            .options(opts.run_options())
-            .build();
-
-        // Warm the global store so both grid runs measure simulation
-        // only (run_grid pre-warms too, but only on its parallel path).
-        for s in &specs {
-            let _ = TraceStore::global().get(s.benchmark, s.sample_seed, s.len).memory_deps();
-        }
-        let threads = opts.threads_for(specs.len());
-        let serial_secs = best_of(reps, &mut || {
-            std::hint::black_box(ccs_core::run_grid(&specs, 1));
-        });
-        let parallel_secs = best_of(reps, &mut || {
-            std::hint::black_box(ccs_core::run_grid(&specs, threads));
-        });
-
-        let cells = specs.len() as f64;
-        use std::fmt::Write as _;
-        let _ = write!(
-            rows,
-            "{}    {{\n      \"trace_len\": {len},\n      \"cells\": {},\n      \
-             \"threads\": {threads},\n      \"serial_secs\": {serial_secs:.4},\n      \
-             \"parallel_secs\": {parallel_secs:.4},\n      \
-             \"serial_cells_per_sec\": {:.2},\n      \"parallel_cells_per_sec\": {:.2},\n      \
-             \"serial_minsts_per_sec\": {:.2},\n      \"speedup\": {:.2}\n    }}",
-            if r == 0 { "" } else { ",\n" },
-            specs.len(),
-            cells / serial_secs.max(1e-9),
-            cells / parallel_secs.max(1e-9),
-            cells * len as f64 * opts.epochs.max(1) as f64 / serial_secs.max(1e-9) / 1e6,
-            serial_secs / parallel_secs.max(1e-9),
-        );
-    }
-
-    format!(
-        "{{\n  \"reps\": {reps},\n  \"rows\": [\n{rows}\n  ],\n  \
-         \"trace_cold_secs\": {cold_secs:.6},\n  \"trace_hit_secs\": {hit_secs:.6}\n}}\n"
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn grid_benchmark_json_is_well_formed() {
-        let mut opts = HarnessOptions::smoke();
-        opts.len = 1_500;
-        let json = grid_benchmark_json(&opts);
-        for key in [
-            "\"rows\"",
-            "\"trace_len\": 1500",
-            "\"cells\": 108",
-            "\"threads\"",
-            "\"serial_cells_per_sec\"",
-            "\"parallel_cells_per_sec\"",
-            "\"serial_minsts_per_sec\"",
-            "\"speedup\"",
-            "\"trace_cold_secs\"",
-            "\"trace_hit_secs\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        assert!(json.trim_start().starts_with('{') && json.trim_end().ends_with('}'));
-    }
 
     #[test]
     fn report_renders_all_sections() {

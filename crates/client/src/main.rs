@@ -76,56 +76,84 @@ fn build_grid(flags: &GridFlags) -> Vec<WireCellSpec> {
     cells
 }
 
-fn parse_bench(name: &str) -> Benchmark {
+fn parse_bench(name: &str) -> Result<Benchmark, String> {
     Benchmark::ALL
         .into_iter()
         .find(|b| b.name() == name)
-        .unwrap_or_else(|| {
-            eprintln!("unknown benchmark {name:?}");
-            usage()
-        })
+        .ok_or_else(|| format!("unknown benchmark {name:?}"))
 }
 
-fn main() {
-    let mut server = std::env::var("CCS_SERVER").unwrap_or_else(|_| DEFAULT_SERVER.to_string());
+/// A number at the type of the flag's field: garbage and values out of
+/// the field's range are both refused.
+fn parse_num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: not a number in range: {value:?}"))
+}
+
+/// A parsed command line: the server address, the command and its grid
+/// flags.
+struct Cli {
+    server: String,
+    command: String,
+    flags: GridFlags,
+}
+
+/// Parses the arguments after the program name; `server` is the
+/// address used when `--server` is absent. `Err` carries the message
+/// to print above the usage text (empty for `--help`).
+fn parse_args(args: impl IntoIterator<Item = String>, mut server: String) -> Result<Cli, String> {
     let mut command: Option<String> = None;
     let mut flags = GridFlags::default();
     let mut benches_given = false;
 
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
-        let mut value = |what: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{arg} needs a {what}");
-                usage()
-            })
+        let mut value = |what: &str| -> Result<String, String> {
+            args.next().ok_or_else(|| format!("{arg} needs a {what}"))
         };
         match arg.as_str() {
-            "--server" => server = value("HOST:PORT"),
+            "--server" => server = value("HOST:PORT")?,
             "--bench" => {
                 if !benches_given {
                     flags.benches.clear();
                     benches_given = true;
                 }
-                let bench = parse_bench(&value("NAME"));
+                let bench = parse_bench(&value("NAME")?)?;
                 flags.benches.push(bench);
             }
-            "--len" => flags.len = parse_num(&arg, &value("count")) as usize,
-            "--samples" => flags.samples = parse_num(&arg, &value("count")),
-            "--seed" => flags.seed = parse_num(&arg, &value("seed")),
-            "--epochs" => flags.epochs = parse_num(&arg, &value("count")) as u32,
-            "--retries" => flags.retries = parse_num(&arg, &value("count")) as u32,
-            "--help" | "-h" => usage(),
+            "--len" => flags.len = parse_num(&arg, &value("count")?)?,
+            "--samples" => flags.samples = parse_num(&arg, &value("count")?)?,
+            "--seed" => flags.seed = parse_num(&arg, &value("seed")?)?,
+            "--epochs" => flags.epochs = parse_num(&arg, &value("count")?)?,
+            "--retries" => flags.retries = parse_num(&arg, &value("count")?)?,
+            "--help" | "-h" => return Err(String::new()),
             "grid" | "status" | "metrics" | "drain" if command.is_none() => {
                 command = Some(arg.clone())
             }
-            other => {
-                eprintln!("unexpected argument {other:?}");
-                usage()
-            }
+            other => return Err(format!("unexpected argument {other:?}")),
         }
     }
-    let Some(command) = command else { usage() };
+    let command = command.ok_or_else(String::new)?;
+    Ok(Cli {
+        server,
+        command,
+        flags,
+    })
+}
+
+fn main() {
+    let default_server = std::env::var("CCS_SERVER").unwrap_or_else(|_| DEFAULT_SERVER.to_string());
+    let Cli {
+        server,
+        command,
+        flags,
+    } = parse_args(std::env::args().skip(1), default_server).unwrap_or_else(|message| {
+        if !message.is_empty() {
+            eprintln!("{message}");
+        }
+        usage()
+    });
 
     let mut client = match Client::connect(&server) {
         Ok(c) => c,
@@ -143,13 +171,6 @@ fn main() {
         _ => usage(),
     };
     std::process::exit(code);
-}
-
-fn parse_num(flag: &str, value: &str) -> u64 {
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("{flag}: not a number: {value:?}");
-        usage()
-    })
 }
 
 fn run_grid(client: &mut Client, flags: &GridFlags) -> i32 {
@@ -235,5 +256,55 @@ fn run_drain(client: &mut Client) -> i32 {
             eprintln!("ccs-client: {e}");
             2
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        parse_args(
+            args.iter().map(|a| a.to_string()),
+            DEFAULT_SERVER.to_string(),
+        )
+    }
+
+    #[test]
+    fn grid_flags_parse_at_their_field_type() {
+        let cli = parse(&[
+            "--server", "h:1", "grid", "--bench", "gzip", "--len", "1000",
+        ])
+        .expect("valid command line");
+        assert_eq!((cli.server.as_str(), cli.command.as_str()), ("h:1", "grid"));
+        assert_eq!(cli.flags.benches, vec![Benchmark::Gzip]);
+        assert_eq!(cli.flags.len, 1_000);
+        let cli = parse(&["grid", "--epochs", "4294967295", "--retries", "7"]).unwrap();
+        assert_eq!((cli.flags.epochs, cli.flags.retries), (u32::MAX, 7));
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_refused_not_wrapped() {
+        for (flag, value) in [
+            ("--epochs", "4294967297"),
+            ("--retries", "4294967296"),
+            ("--len", "18446744073709551616"),
+            ("--samples", "-1"),
+            ("--seed", "12x"),
+        ] {
+            let err = parse(&["grid", flag, value]).err();
+            assert!(
+                err.as_deref().is_some_and(|e| e.contains(flag)),
+                "{flag} {value} must be refused, got {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn malformed_command_lines_are_refused() {
+        assert!(parse(&[]).is_err(), "a command is required");
+        assert!(parse(&["grid", "--bench", "nope"]).is_err());
+        assert!(parse(&["grid", "--len"]).is_err(), "a flag needs its value");
+        assert!(parse(&["status", "extra"]).is_err());
     }
 }

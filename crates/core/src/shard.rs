@@ -25,16 +25,7 @@
 //! daemon.
 
 use crate::error::CcsError;
-
-/// 64-bit FNV-1a — the same mixing the checkpoint fingerprint uses.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use ccs_trace::fnv1a;
 
 /// A ring point: FNV-1a plus a splitmix64-style finalizer. Bare FNV-1a
 /// has poor avalanche on near-identical short strings (the vnode labels
@@ -298,5 +289,40 @@ mod tests {
             ShardMap::new(&members(2)).unwrap().version(),
             "same topology, same version"
         );
+    }
+
+    /// Ring placement is part of the on-disk and on-wire contract:
+    /// journals, peer lookups and failover orders all assume every
+    /// client computes the same owner, so a change to the hash or the
+    /// vnode labels must fail here rather than silently move routing.
+    #[test]
+    fn routing_and_version_are_pinned() {
+        let m = members(3);
+        let map = ShardMap::new(&m).unwrap();
+        assert_eq!(map.version(), 0x0ed4_4ff6_dc01_9669);
+        assert_eq!(
+            ShardMap::new(&m[..2]).unwrap().version(),
+            0xb8b4_9ca6_1afa_9772
+        );
+        assert_eq!(
+            ShardMap::with_vnodes(&m, 8).unwrap().version(),
+            0x4f81_d2ff_e2f8_b11a
+        );
+        for (key, order) in [
+            ("gzip/s1/n2000/C4x2w/Focused/0000000000000000", [1, 2, 0]),
+            ("mcf/s1/n20000/C8x1w/Proactive/0000000000009e37", [0, 1, 2]),
+            (
+                "gcc/s7/n100000/C4x2w/FocusedLoc/00000000000279dc",
+                [0, 1, 2],
+            ),
+            (
+                "bzip2/s2/n5000/C8x1w/Dependence/deadbeefdeadbeef",
+                [2, 1, 0],
+            ),
+        ] {
+            let want: Vec<&str> = order.iter().map(|&i| m[i].as_str()).collect();
+            assert_eq!(map.successors(key), want, "failover order of {key}");
+            assert_eq!(map.shard_for(key), want[0], "owner of {key}");
+        }
     }
 }

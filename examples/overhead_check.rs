@@ -1,9 +1,10 @@
 //! Quick manual check of metrics-on vs metrics-off grid throughput.
 //!
 //! Takes the minimum wall-clock of several alternating runs per mode —
-//! robust against scheduler noise — and prints the overhead. The
-//! `grid_throughput` criterion bench measures the same thing with
-//! statistics; this is the fast sanity-check version.
+//! robust against scheduler noise — and prints the overhead. Claims
+//! about speed go through the benchmark instead (`bash
+//! examples/benchmark/run.sh`, judged with `benchmark compare`); this
+//! is the fast sanity-check version.
 
 use clustercrit::core::{run_grid_resilient, GridRequest, PolicyKind, Resilience, RunOptions};
 use clustercrit::isa::{ClusterLayout, MachineConfig};

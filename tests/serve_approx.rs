@@ -213,3 +213,89 @@ fn dynamic_policies_ride_the_wire_with_demoted_confidence() {
     handle.join().expect("daemon exits cleanly after drain");
     std::fs::remove_file(&journal_path).ok();
 }
+
+/// A seeded mix of `n` cells over every benchmark, the clustered
+/// layouts, two cheap policies and six seeds, so some cells repeat.
+fn seeded_mix(seed: u64, n: usize) -> Vec<WireCellSpec> {
+    const LAYOUTS: [ClusterLayout; 3] = [
+        ClusterLayout::C2x4w,
+        ClusterLayout::C4x2w,
+        ClusterLayout::C8x1w,
+    ];
+    const POLICIES: [PolicyKind; 2] = [PolicyKind::Focused, PolicyKind::FocusedLoc];
+    let mut state = seed;
+    let mut next = |bound: usize| {
+        // splitmix64
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % bound as u64) as usize
+    };
+    (0..n)
+        .map(|_| {
+            let bench = Benchmark::ALL[next(Benchmark::ALL.len())];
+            let layout = LAYOUTS[next(LAYOUTS.len())];
+            let policy = POLICIES[next(POLICIES.len())];
+            let seed = 1 + next(6) as u64;
+            WireCellSpec::new(bench, seed, LEN, layout, policy)
+        })
+        .collect()
+}
+
+/// The envelope tier is measurably cheaper than simulation: one seeded
+/// cell mix, sent to a fresh daemon as approx submissions and then to
+/// another fresh daemon as full ones, answers faster as envelopes.
+#[test]
+fn envelope_tier_answers_a_cell_mix_faster_than_simulation() {
+    let cells = seeded_mix(7, 24);
+
+    let journal_path = tmp_journal("mix-approx");
+    let (addr, handle) = start_server(journal_path.clone());
+    let mut client = Client::connect(&addr.to_string()).expect("connect");
+    let started = std::time::Instant::now();
+    for cell in &cells {
+        match client.submit_cell_approx(cell).expect("approx submit") {
+            ApproxAnswer::Envelope {
+                cycles_lo,
+                cycles_hi,
+                ..
+            } => assert!(
+                cycles_lo <= cycles_hi,
+                "envelope must be ordered: [{cycles_lo}, {cycles_hi}]"
+            ),
+            ApproxAnswer::Exact(rec) => panic!("fresh daemon answered exactly: {rec:?}"),
+        }
+    }
+    let approx_wall = started.elapsed();
+    let status = client.status().expect("status");
+    assert_eq!(status.cells_evaluated, 0, "approx must not simulate");
+    client.drain().expect("drain");
+    handle.join().expect("daemon exits cleanly after drain");
+    std::fs::remove_file(&journal_path).ok();
+
+    let journal_path = tmp_journal("mix-full");
+    let (addr, handle) = start_server(journal_path.clone());
+    let mut client = Client::connect(&addr.to_string()).expect("connect");
+    let started = std::time::Instant::now();
+    for cell in &cells {
+        let record = client.submit_cell(cell).expect("full submit");
+        assert!(
+            record.is_ok(),
+            "full simulation must complete ok: {record:?}"
+        );
+    }
+    let full_wall = started.elapsed();
+    client.drain().expect("drain");
+    handle.join().expect("daemon exits cleanly after drain");
+    std::fs::remove_file(&journal_path).ok();
+
+    println!(
+        "{} cells: approx {approx_wall:?}, full {full_wall:?}",
+        cells.len()
+    );
+    assert!(
+        approx_wall < full_wall,
+        "envelopes ({approx_wall:?}) must be cheaper than simulation ({full_wall:?})"
+    );
+}
