@@ -6,13 +6,14 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
-# The workspace test run includes the verification suites: the
-# differential engine-vs-oracle campaign (bounded by CCS_DIFF_CASES,
+# The workspace test run: the root package's tier-1 suites plus every
+# member crate's unit and integration tests. Among the root suites are
+# the differential engine-vs-oracle campaign (bounded by CCS_DIFF_CASES,
 # deterministic per case id) and the golden snapshot tests, which
 # re-evaluate the full benchmark x layout x policy grid in checked
 # (invariant-audited) mode against results/golden/.
-echo "==> cargo test -q (incl. differential campaign + golden snapshots)"
-CCS_DIFF_CASES="${CCS_DIFF_CASES:-200}" cargo test -q
+echo "==> cargo test --workspace -q (tier-1 + every crate's tests)"
+CCS_DIFF_CASES="${CCS_DIFF_CASES:-200}" cargo test --workspace -q
 
 # Benchmark package: its own workspace, so neither the tier-1 run nor
 # the workspace build above compiles it. Building and testing it here
@@ -206,7 +207,7 @@ printf "    serial %d ms, auto %d ms: parallel speedup %d.%02d (need >= %d.%02d)
 # itself under test.
 echo "==> adaptive policy smoke (checked 12-benchmark grid + exhibit)"
 cargo test --release --test adaptive_policies -q
-CCS_LEN=2000 target/release/adaptive_policy --threads auto >/dev/null
+CCS_LEN=2000 target/release/all_figures --only adaptive_policy --threads auto >/dev/null
 echo "    dynamic policies clean, deterministic, and non-vacuous"
 
 # Scenario smoke: the seeded manifest fuzzer at a bounded budget

@@ -37,7 +37,9 @@
 //! in the wire cells, so remote daemons re-register the identical
 //! source).
 
-use ccs_bench::{cpi_stack_report, scenario_target, servers_target, HarnessOptions, TextTable};
+use ccs_bench::{
+    cpi_stack_report, outln, scenario_target, servers_target, HarnessOptions, TextTable,
+};
 use ccs_client::ClusterClient;
 use ccs_core::checkpoint::{run_campaign, CampaignOptions, CheckpointRecord};
 use ccs_core::{fetch_cell_trace, CellSpec, PolicyKind, ShardMap};
@@ -76,7 +78,7 @@ fn run_against_cluster(servers: &[String], specs: &[CellSpec], manifest: Option<
             return 3;
         }
     };
-    println!(
+    outln!(
         "grid campaign: {} cells via {} shards (ring v{:016x})",
         cells.len(),
         map.len(),
@@ -118,7 +120,7 @@ fn run_against_cluster(servers: &[String], specs: &[CellSpec], manifest: Option<
             detail,
         ]);
     }
-    println!("{table}");
+    outln!("{table}");
     if let Some(path) = manifest {
         let mut lines: Vec<String> = outcome
             .records
@@ -134,9 +136,9 @@ fn run_against_cluster(servers: &[String], specs: &[CellSpec], manifest: Option<
             eprintln!("grid_campaign: manifest {path}: {e}");
             return 3;
         }
-        println!("wrote {} records to {path}", lines.len());
+        outln!("wrote {} records to {path}", lines.len());
     }
-    println!(
+    outln!(
         "cluster grid done: {} ok, {} failed, {} timed out, {} cached; \
          {} failovers across {} waves",
         outcome.ok, outcome.failed, outcome.timed_out, outcome.cached,
@@ -168,7 +170,7 @@ fn main() {
         };
         match ccs_scenario::register_manifest(&text) {
             Ok((scenario, id)) => {
-                println!("scenario workload: {} ({id})", scenario.name);
+                outln!("scenario workload: {} ({id})", scenario.name);
                 id
             }
             Err(e) => {
@@ -226,7 +228,7 @@ fn main() {
         std::process::exit(run_against_cluster(&servers, &specs, manifest.as_deref()));
     }
 
-    println!(
+    outln!(
         "grid campaign: {} cells, manifest {manifest}{}{}",
         specs.len(),
         if opts.resume { " (resuming)" } else { "" },
@@ -281,7 +283,7 @@ fn main() {
             detail,
         ]);
     }
-    println!("{table}");
+    outln!("{table}");
 
     // With --metrics, aggregate the in-process cells' counters into a
     // reconciled CPI stack. Cells skipped on resume contribute no
@@ -290,11 +292,11 @@ fn main() {
     if opts.metrics {
         let ran: Vec<_> = report.results.iter().flatten().cloned().collect();
         let stack_report = timers.time("analysis", || cpi_stack_report(&ran));
-        println!("{stack_report}");
+        outln!("{stack_report}");
     }
 
-    println!("{}", report.summary());
-    println!("stage timings:\n{timers}");
+    outln!("{}", report.summary());
+    outln!("stage timings:\n{timers}");
     std::process::exit(report.exit_code());
 }
 

@@ -1,7 +1,8 @@
 //! One module per paper exhibit.
 //!
-//! Every function takes [`HarnessOptions`] and
-//! returns a displayable report; the `src/bin` binaries are thin wrappers.
+//! Every function takes [`HarnessOptions`] and returns a displayable
+//! report. [`EXHIBITS`] lists them in print order; `all_figures`
+//! renders that list.
 
 mod ablate;
 mod adaptive;
@@ -47,6 +48,66 @@ use ccs_isa::MachineConfig;
 use ccs_sim::{policies::LeastLoaded, simulate, SimResult};
 use ccs_trace::{Benchmark, Trace, TraceStore};
 use std::sync::Arc;
+
+/// One exhibit of the evaluation: its name and how to render it, as
+/// text and, where it has a plottable form, as CSV.
+#[derive(Debug, Clone, Copy)]
+pub struct Exhibit {
+    /// The exhibit's name, as `all_figures --only NAME` selects it.
+    pub name: &'static str,
+    /// Renders the printable report.
+    pub text: fn(&HarnessOptions) -> String,
+    /// Renders the plottable series, for exhibits that have one.
+    pub csv: Option<fn(&HarnessOptions) -> String>,
+}
+
+/// The [`Exhibit`] named `$name` rendering figure function `$fig`, with
+/// its `to_csv` form when marked `csv`.
+macro_rules! exhibit {
+    ($name:literal, $fig:expr) => {
+        Exhibit {
+            name: $name,
+            text: |o| $fig(o).to_string(),
+            csv: None,
+        }
+    };
+    ($name:literal, $fig:expr, csv) => {
+        Exhibit {
+            name: $name,
+            text: |o| $fig(o).to_string(),
+            csv: Some(|o| $fig(o).to_csv()),
+        }
+    };
+}
+
+/// Every exhibit, in print order: Table 1, the paper's figures and its
+/// §2/§4/§6 text results, then the ablation sweeps and the scenario
+/// gallery. The adaptive exhibit sits beside Figure 14, whose static
+/// ladder it extends.
+pub const EXHIBITS: &[Exhibit] = &[
+    exhibit!("tab1", |_| tab1()),
+    exhibit!("fig2", fig2, csv),
+    exhibit!("fig2_latency_sweep", fig2_latency_sweep),
+    exhibit!("fig3", fig3),
+    exhibit!("fig4", fig4, csv),
+    exhibit!("fig5", fig5),
+    exhibit!("fig6", fig6),
+    exhibit!("fig8", fig8, csv),
+    exhibit!("fig14", fig14, csv),
+    exhibit!("adaptive_policy", adaptive_exhibit, csv),
+    exhibit!("fig15", fig15, csv),
+    exhibit!("sec2_global_comm", sec2_global_comm),
+    exhibit!("sec4_listsched", sec4_listsched),
+    exhibit!("sec6_consumers", sec6_consumers),
+    exhibit!("slack_distribution", slack_distribution),
+    exhibit!("finite_l2_check", finite_l2_check),
+    exhibit!("ablate_stall_threshold", ablate_stall_threshold),
+    exhibit!("ablate_loc_levels", ablate_loc_levels),
+    exhibit!("ablate_interconnect", ablate_interconnect),
+    exhibit!("ablate_proactive", ablate_proactive),
+    exhibit!("ablate_window", ablate_window),
+    exhibit!("scenario_gallery", scenario_exhibit, csv),
+];
 
 /// The harness trace for one benchmark (the first sample), from the
 /// process-wide [`TraceStore`] — generated once, shared by every figure

@@ -61,15 +61,44 @@ impl HarnessOptions {
     /// `CCS_METRICS=1` collects observability metrics and prints stage
     /// timings and a CPI stack. `CCS_PREDICT_ORDER=1` orders campaign
     /// cells best-first by their analytic cycle bound.
-    pub fn from_env() -> Self {
-        Self::from_vars(|name| std::env::var(name).ok())
+    ///
+    /// The command line then applies `--threads N` / `--threads=N` (`N`
+    /// a count or `auto`), `--resume`, `--predict-order` and
+    /// `--metrics` on top; other arguments are left to the binary. A
+    /// malformed or missing `--threads` value exits with status 2.
+    pub fn from_env_and_args() -> Self {
+        let mut opts = Self::from_vars(|name| std::env::var(name).ok());
+        let mut args = std::env::args().skip(1);
+        while let Some(arg) = args.next() {
+            let threads = match arg.strip_prefix("--threads=") {
+                Some(v) => Some(v.to_string()),
+                None if arg == "--threads" => Some(args.next().unwrap_or_default()),
+                None => None,
+            };
+            match threads.as_deref() {
+                Some("auto") => opts.threads_auto = true,
+                Some(v) => match v.parse() {
+                    Ok(n) => (opts.threads, opts.threads_auto) = (n, false),
+                    Err(_) => {
+                        eprintln!("--threads {v:?}: expected a worker count or `auto`");
+                        std::process::exit(2);
+                    }
+                },
+                None => {
+                    opts.resume |= arg == "--resume";
+                    opts.predict_order |= arg == "--predict-order";
+                    opts.metrics |= arg == "--metrics";
+                }
+            }
+        }
+        opts
     }
 
-    /// [`from_env`](Self::from_env) over an arbitrary variable lookup.
-    /// Each variable is parsed at its field's type, so a value that is
-    /// unparsable or out of range for the field (`CCS_EPOCHS=4294967297`,
-    /// `CCS_THREADS=auto`) falls back to the default instead of
-    /// wrapping.
+    /// The environment half of [`from_env_and_args`](Self::from_env_and_args)
+    /// over an arbitrary variable lookup. Each variable is parsed at its
+    /// field's type, so a value that is unparsable or out of range for
+    /// the field (`CCS_EPOCHS=4294967297`, `CCS_THREADS=auto`) falls
+    /// back to the default instead of wrapping.
     fn from_vars(var: impl Fn(&str) -> Option<String>) -> Self {
         fn parse<T: std::str::FromStr>(value: Option<String>, default: T) -> T {
             value.and_then(|v| v.parse().ok()).unwrap_or(default)
@@ -90,43 +119,6 @@ impl HarnessOptions {
             cycle_budget: parse(var("CCS_CYCLE_BUDGET"), 0),
             metrics: flag("CCS_METRICS"),
         }
-    }
-
-    /// [`from_env`](Self::from_env), then applies `--threads N` /
-    /// `--threads=N` (`N` a count or `auto`), `--resume`,
-    /// `--predict-order` and `--metrics` from the binary's command
-    /// line on top.
-    pub fn from_env_and_args() -> Self {
-        let mut opts = Self::from_env();
-        let mut args = std::env::args().skip(1);
-        while let Some(arg) = args.next() {
-            if let Some(v) = arg.strip_prefix("--threads=") {
-                if v == "auto" {
-                    opts.threads_auto = true;
-                } else if let Ok(n) = v.parse() {
-                    opts.threads = n;
-                    opts.threads_auto = false;
-                }
-            } else if arg == "--threads" {
-                match args.next().as_deref() {
-                    Some("auto") => opts.threads_auto = true,
-                    Some(v) => {
-                        if let Ok(n) = v.parse() {
-                            opts.threads = n;
-                            opts.threads_auto = false;
-                        }
-                    }
-                    None => {}
-                }
-            } else if arg == "--resume" {
-                opts.resume = true;
-            } else if arg == "--predict-order" {
-                opts.predict_order = true;
-            } else if arg == "--metrics" {
-                opts.metrics = true;
-            }
-        }
-        opts
     }
 
     /// The effective grid worker count: `threads`, with `0` resolved to
@@ -198,12 +190,6 @@ impl HarnessOptions {
             res = res.with_deadline(Duration::from_millis(self.deadline_ms));
         }
         res
-    }
-}
-
-impl Default for HarnessOptions {
-    fn default() -> Self {
-        Self::from_env()
     }
 }
 
