@@ -599,91 +599,97 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod properties {
     use super::*;
-    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
-    fn any_layout() -> impl Strategy<Value = ClusterLayout> {
-        prop_oneof![
-            Just(ClusterLayout::C1x8w),
-            Just(ClusterLayout::C2x4w),
-            Just(ClusterLayout::C4x2w),
-            Just(ClusterLayout::C8x1w),
-        ]
-    }
-
-    proptest! {
-        #[test]
-        fn build_is_total_and_consistent(
-            layout in any_layout(),
-            window_exp in 3u32..10,        // 8..=512 entries
-            rob_extra in 0usize..512,
-            fwd in 0u32..6,
-        ) {
-            let window = 1usize << window_exp;
-            let rob = window + rob_extra;
-            let result = MachineConfig::build(
-                layout,
-                FrontEndConfig::default(),
-                window,
-                rob,
-                8,
-                8,
-                4,
-                4,
-                fwd,
-                MemoryConfig::default(),
-            );
-            match result {
-                Ok(cfg) => {
-                    // Power-of-two windows always divide the layouts.
-                    prop_assert_eq!(
-                        cfg.cluster.window_entries * cfg.cluster_count(),
-                        window
-                    );
-                    // Ports cover the aggregate with round-up.
-                    prop_assert!(cfg.cluster.int_ports * cfg.cluster_count() >= 8);
-                    prop_assert!(cfg.cluster.fp_ports * cfg.cluster_count() >= 4);
-                    prop_assert!(cfg.cluster.mem_ports * cfg.cluster_count() >= 4);
-                    prop_assert!(cfg.rob_entries >= cfg.window_total);
-                    // Forwarding is symmetric in shape.
-                    for a in 0..cfg.cluster_count() {
-                        for b in 0..cfg.cluster_count() {
-                            prop_assert_eq!(
-                                cfg.forwarding_between(a, b),
-                                cfg.forwarding_between(b, a)
-                            );
-                            if a == b {
-                                prop_assert_eq!(cfg.forwarding_between(a, b), 0);
-                            }
-                        }
-                    }
-                }
-                Err(e) => {
-                    // Only the documented failure cases occur.
-                    let documented = matches!(
-                        e,
-                        ConfigError::ZeroForwardingLatency
-                            | ConfigError::WindowNotDivisible { .. }
-                            | ConfigError::RobSmallerThanWindow { .. }
-                    );
-                    prop_assert!(documented);
-                    // Zero-latency failures only on clustered layouts.
-                    if e == ConfigError::ZeroForwardingLatency {
-                        prop_assert!(layout.clusters() > 1 && fwd == 0);
-                    }
+    /// Every layout × window size (8..=512 entries) × forwarding latency,
+    /// each with a ROB surplus drawn from `StdRng::seed_from_u64(seed)`,
+    /// where `seed` is the case's index in that enumeration.
+    #[test]
+    fn build_is_total_and_consistent() {
+        let mut seed = 0u64;
+        for layout in ClusterLayout::ALL {
+            for window_exp in 3u32..10 {
+                for fwd in 0u32..6 {
+                    check_build(seed, layout, window_exp, fwd);
+                    seed += 1;
                 }
             }
         }
+    }
 
-        #[test]
-        fn layout_switching_preserves_aggregates(layout in any_layout()) {
-            let base = MachineConfig::micro05_baseline();
+    fn check_build(seed: u64, layout: ClusterLayout, window_exp: u32, fwd: u32) {
+        let rob_extra = StdRng::seed_from_u64(seed).random_range(0usize..512);
+        let window = 1usize << window_exp;
+        let rob = window + rob_extra;
+        let case = format!("case seed {seed}: {layout:?} window {window} rob {rob} fwd {fwd}");
+        let result = MachineConfig::build(
+            layout,
+            FrontEndConfig::default(),
+            window,
+            rob,
+            8,
+            8,
+            4,
+            4,
+            fwd,
+            MemoryConfig::default(),
+        );
+        match result {
+            Ok(cfg) => {
+                // Power-of-two windows always divide the layouts.
+                assert_eq!(
+                    cfg.cluster.window_entries * cfg.cluster_count(),
+                    window,
+                    "{case}"
+                );
+                // Ports cover the aggregate with round-up.
+                assert!(cfg.cluster.int_ports * cfg.cluster_count() >= 8, "{case}");
+                assert!(cfg.cluster.fp_ports * cfg.cluster_count() >= 4, "{case}");
+                assert!(cfg.cluster.mem_ports * cfg.cluster_count() >= 4, "{case}");
+                assert!(cfg.rob_entries >= cfg.window_total, "{case}");
+                // Forwarding is symmetric in shape.
+                for a in 0..cfg.cluster_count() {
+                    for b in 0..cfg.cluster_count() {
+                        assert_eq!(
+                            cfg.forwarding_between(a, b),
+                            cfg.forwarding_between(b, a),
+                            "{case}"
+                        );
+                        if a == b {
+                            assert_eq!(cfg.forwarding_between(a, b), 0, "{case}");
+                        }
+                    }
+                }
+            }
+            Err(e) => {
+                // Only the documented failure cases occur.
+                let documented = matches!(
+                    e,
+                    ConfigError::ZeroForwardingLatency
+                        | ConfigError::WindowNotDivisible { .. }
+                        | ConfigError::RobSmallerThanWindow { .. }
+                );
+                assert!(documented, "{case}: {e:?}");
+                // Zero-latency failures only on clustered layouts.
+                if e == ConfigError::ZeroForwardingLatency {
+                    assert!(layout.clusters() > 1 && fwd == 0, "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn layout_switching_preserves_aggregates() {
+        let base = MachineConfig::micro05_baseline();
+        for layout in ClusterLayout::ALL {
             let m = base.with_layout(layout);
-            prop_assert_eq!(m.window_total, base.window_total);
-            prop_assert_eq!(m.rob_entries, base.rob_entries);
-            prop_assert_eq!(m.int_total, base.int_total);
-            prop_assert_eq!(m.cluster.issue_width * m.cluster_count(), 8);
+            assert_eq!(m.window_total, base.window_total, "{layout:?}");
+            assert_eq!(m.rob_entries, base.rob_entries, "{layout:?}");
+            assert_eq!(m.int_total, base.int_total, "{layout:?}");
+            assert_eq!(m.cluster.issue_width * m.cluster_count(), 8, "{layout:?}");
         }
     }
 }

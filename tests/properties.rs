@@ -10,10 +10,11 @@ use clustercrit::sim::{
     simulate, SteeringPolicy,
 };
 use clustercrit::trace::{Trace, TraceBuilder};
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, RngExt, SeedableRng};
+use std::ops::Range;
 
 /// A generated instruction blueprint: op class + small operand indices.
-#[derive(Debug, Clone)]
 struct InstSpec {
     op_sel: u8,
     src1: Option<u8>,
@@ -24,25 +25,27 @@ struct InstSpec {
     pc_slot: u8,
 }
 
-fn inst_spec() -> impl Strategy<Value = InstSpec> {
-    (
-        0u8..6,
-        proptest::option::of(0u8..16),
-        proptest::option::of(0u8..16),
-        0u8..16,
-        any::<u32>(),
-        any::<bool>(),
-        0u8..32,
-    )
-        .prop_map(|(op_sel, src1, src2, dst, addr, taken, pc_slot)| InstSpec {
-            op_sel,
-            src1,
-            src2,
-            dst,
-            addr,
-            taken,
-            pc_slot,
-        })
+fn inst_spec(rng: &mut StdRng) -> InstSpec {
+    InstSpec {
+        op_sel: rng.random_range(0u8..6),
+        src1: operand(rng),
+        src2: operand(rng),
+        dst: rng.random_range(0u8..16),
+        addr: rng.next_u64() as u32,
+        taken: rng.random_bool(0.5),
+        pc_slot: rng.random_range(0u8..32),
+    }
+}
+
+/// A source operand three times out of four, none otherwise.
+fn operand(rng: &mut StdRng) -> Option<u8> {
+    (rng.random_range(0u8..4) != 0).then(|| rng.random_range(0u8..16))
+}
+
+/// Between `len.start` and `len.end - 1` blueprints.
+fn inst_specs(rng: &mut StdRng, len: Range<usize>) -> Vec<InstSpec> {
+    let n = rng.random_range(len);
+    (0..n).map(|_| inst_spec(rng)).collect()
 }
 
 /// Materializes blueprints into a well-formed trace.
@@ -93,32 +96,39 @@ fn build_trace(specs: &[InstSpec]) -> Trace {
     b.finish()
 }
 
-fn any_layout() -> impl Strategy<Value = ClusterLayout> {
-    prop_oneof![
-        Just(ClusterLayout::C1x8w),
-        Just(ClusterLayout::C2x4w),
-        Just(ClusterLayout::C4x2w),
-        Just(ClusterLayout::C8x1w),
-    ]
+fn any_layout(rng: &mut StdRng) -> ClusterLayout {
+    ClusterLayout::ALL[rng.random_range(0..ClusterLayout::ALL.len())]
 }
 
-fn check_invariants(trace: &Trace, layout: ClusterLayout, policy: &mut dyn SteeringPolicy) {
+/// Property case `seed` draws all of its inputs from
+/// `StdRng::seed_from_u64(seed)`, and every assertion names the seed, so
+/// a failing case replays alone.
+fn check_invariants(
+    seed: u64,
+    trace: &Trace,
+    layout: ClusterLayout,
+    policy: &mut dyn SteeringPolicy,
+) {
     let cfg = MachineConfig::micro05_baseline().with_layout(layout);
-    let result = simulate(&cfg, trace, policy).expect("baseline policies never deadlock");
+    let result = simulate(&cfg, trace, policy)
+        .unwrap_or_else(|e| panic!("case seed {seed}: baseline policies never deadlock: {e}"));
 
     // Event ordering per instruction.
     for (i, rec) in result.records.iter().enumerate() {
-        assert!(rec.fetch + 13 <= rec.dispatch, "inst {i}");
-        assert!(rec.dispatch < rec.ready, "inst {i}");
-        assert!(rec.ready <= rec.issue, "inst {i}");
-        assert!(rec.issue < rec.complete, "inst {i}");
-        assert!(rec.complete < rec.commit, "inst {i}");
-        assert!((rec.cluster as usize) < cfg.cluster_count(), "inst {i}");
+        assert!(rec.fetch + 13 <= rec.dispatch, "case seed {seed}: inst {i}");
+        assert!(rec.dispatch < rec.ready, "case seed {seed}: inst {i}");
+        assert!(rec.ready <= rec.issue, "case seed {seed}: inst {i}");
+        assert!(rec.issue < rec.complete, "case seed {seed}: inst {i}");
+        assert!(rec.complete < rec.commit, "case seed {seed}: inst {i}");
+        assert!(
+            (rec.cluster as usize) < cfg.cluster_count(),
+            "case seed {seed}: inst {i}"
+        );
     }
     // In-order dispatch and commit.
     for w in result.records.windows(2) {
-        assert!(w[0].dispatch <= w[1].dispatch);
-        assert!(w[0].commit <= w[1].commit);
+        assert!(w[0].dispatch <= w[1].dispatch, "case seed {seed}");
+        assert!(w[0].commit <= w[1].commit, "case seed {seed}");
     }
     // Dataflow respected, including forwarding.
     for (i, inst) in trace.iter() {
@@ -128,74 +138,94 @@ fn check_invariants(trace: &Trace, layout: ClusterLayout, policy: &mut dyn Steer
             let fwd = cfg.forwarding_between(pr.cluster as usize, cr.cluster as usize);
             assert!(
                 cr.issue >= pr.complete + fwd as u64,
-                "inst {i} used operand from {p} too early"
+                "case seed {seed}: inst {i} used operand from {p} too early"
             );
         }
     }
     // Exact critical-path attribution.
     let analysis = analyze(trace, &result);
-    assert_eq!(analysis.breakdown.total(), result.cycles);
+    assert_eq!(
+        analysis.breakdown.total(),
+        result.cycles,
+        "case seed {seed}"
+    );
     // The last instruction's execute node is always critical... only when
     // its commit is complete-bound; weaker invariant: some instruction is
     // E-critical for non-empty traces.
     if !trace.is_empty() {
-        assert!(analysis.critical_count() >= 1);
+        assert!(analysis.critical_count() >= 1, "case seed {seed}");
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn random_traces_respect_invariants(
-        specs in proptest::collection::vec(inst_spec(), 1..200),
-        layout in any_layout(),
-        round_robin in any::<bool>(),
-    ) {
-        let trace = build_trace(&specs);
-        trace.validate().unwrap();
-        if round_robin {
-            check_invariants(&trace, layout, &mut RoundRobin::default());
+#[test]
+fn random_traces_respect_invariants() {
+    for seed in 0..48 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let trace = build_trace(&inst_specs(&mut rng, 1..200));
+        let layout = any_layout(&mut rng);
+        trace
+            .validate()
+            .unwrap_or_else(|e| panic!("case seed {seed}: {e}"));
+        if rng.random_bool(0.5) {
+            check_invariants(seed, &trace, layout, &mut RoundRobin::default());
         } else {
-            check_invariants(&trace, layout, &mut LeastLoaded);
+            check_invariants(seed, &trace, layout, &mut LeastLoaded);
         }
     }
+}
 
-    #[test]
-    fn simulation_is_deterministic(
-        specs in proptest::collection::vec(inst_spec(), 1..120),
-        layout in any_layout(),
-    ) {
-        let trace = build_trace(&specs);
-        let cfg = MachineConfig::micro05_baseline().with_layout(layout);
-        let a = simulate(&cfg, &trace, &mut LeastLoaded).unwrap();
-        let b = simulate(&cfg, &trace, &mut LeastLoaded).unwrap();
-        prop_assert_eq!(a.cycles, b.cycles);
-        prop_assert_eq!(a.records, b.records);
+#[test]
+fn simulation_is_deterministic() {
+    for seed in 0..48 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let trace = build_trace(&inst_specs(&mut rng, 1..120));
+        let cfg = MachineConfig::micro05_baseline().with_layout(any_layout(&mut rng));
+        let run = || {
+            simulate(&cfg, &trace, &mut LeastLoaded)
+                .unwrap_or_else(|e| panic!("case seed {seed}: {e}"))
+        };
+        let (a, b) = (run(), run());
+        assert_eq!(a.cycles, b.cycles, "case seed {seed}");
+        assert_eq!(a.records, b.records, "case seed {seed}");
     }
+}
 
-    #[test]
-    fn cycles_scale_sanely_with_trace_length(
-        specs in proptest::collection::vec(inst_spec(), 8..150),
-    ) {
-        let trace = build_trace(&specs);
+#[test]
+fn cycles_scale_sanely_with_trace_length() {
+    for seed in 0..48 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let trace = build_trace(&inst_specs(&mut rng, 8..150));
         let cfg = MachineConfig::micro05_baseline();
-        let result = simulate(&cfg, &trace, &mut LeastLoaded).unwrap();
+        let result = simulate(&cfg, &trace, &mut LeastLoaded)
+            .unwrap_or_else(|e| panic!("case seed {seed}: {e}"));
         // Lower bound: pipeline depth. Upper bound: worst case fully
         // serial L2-missing loads plus mispredict refills.
-        prop_assert!(result.cycles >= 14);
-        prop_assert!(result.cycles <= 64 * trace.len() as u64 + 100);
+        assert!(
+            result.cycles >= 14,
+            "case seed {seed}: {} cycles",
+            result.cycles
+        );
+        assert!(
+            result.cycles <= 64 * trace.len() as u64 + 100,
+            "case seed {seed}: {} cycles for {} instructions",
+            result.cycles,
+            trace.len()
+        );
     }
+}
 
-    #[test]
-    fn trace_builder_dependences_point_backwards(
-        specs in proptest::collection::vec(inst_spec(), 0..300),
-    ) {
-        let trace = build_trace(&specs);
-        prop_assert!(trace.validate().is_ok());
+#[test]
+fn trace_builder_dependences_point_backwards() {
+    for seed in 0..48 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let trace = build_trace(&inst_specs(&mut rng, 0..300));
+        assert!(trace.validate().is_ok(), "case seed {seed}");
         for (i, inst) in trace.iter() {
             for p in inst.producers() {
-                prop_assert!(p.index() < i.index());
+                assert!(
+                    p.index() < i.index(),
+                    "case seed {seed}: inst {i} reads {p}"
+                );
             }
         }
     }
@@ -212,9 +242,11 @@ mod listsched_legality {
     use clustercrit::listsched::{list_schedule, ListScheduleConfig};
     use std::collections::HashMap;
 
-    fn check_schedule_legality(trace: &Trace, layout: ClusterLayout) {
+    /// `case` names the input in every assertion message.
+    fn check_schedule_legality(case: &str, trace: &Trace, layout: ClusterLayout) {
         let mono_cfg = MachineConfig::micro05_baseline();
-        let mono = simulate(&mono_cfg, trace, &mut LeastLoaded).unwrap();
+        let mono =
+            simulate(&mono_cfg, trace, &mut LeastLoaded).unwrap_or_else(|e| panic!("{case}: {e}"));
         let machine = mono_cfg.with_layout(layout);
         let r = list_schedule(
             trace,
@@ -222,14 +254,17 @@ mod listsched_legality {
             &ListScheduleConfig::new(machine).with_placements(),
         );
         let placements = r.placements.as_ref().expect("placements recorded");
-        assert_eq!(placements.len(), trace.len());
+        assert_eq!(placements.len(), trace.len(), "{case}");
 
         // Per (region, cycle, cluster): width and port usage.
         let mut width: HashMap<(u32, u64, u32), usize> = HashMap::new();
         let mut ports: HashMap<(u32, u64, u32, u8), usize> = HashMap::new();
         for (i, p) in placements.iter().enumerate() {
-            assert!((p.cluster as usize) < machine.cluster_count());
-            assert!(p.finish > p.issue, "inst {i} has zero latency");
+            assert!(
+                (p.cluster as usize) < machine.cluster_count(),
+                "{case}: inst {i}"
+            );
+            assert!(p.finish > p.issue, "{case}: inst {i} has zero latency");
             *width.entry((p.region, p.issue, p.cluster)).or_insert(0) += 1;
             let kind = match trace.as_slice()[i].op().port() {
                 PortKind::Int => 0u8,
@@ -241,7 +276,10 @@ mod listsched_legality {
                 .or_insert(0) += 1;
         }
         for (&(_, _, _), &w) in &width {
-            assert!(w <= machine.cluster.issue_width, "width violated: {w}");
+            assert!(
+                w <= machine.cluster.issue_width,
+                "{case}: width violated: {w}"
+            );
         }
         for (&(_, _, _, kind), &u) in &ports {
             let cap = match kind {
@@ -249,7 +287,7 @@ mod listsched_legality {
                 1 => machine.cluster.fp_ports,
                 _ => machine.cluster.mem_ports,
             };
-            assert!(u <= cap, "port {kind} violated: {u} > {cap}");
+            assert!(u <= cap, "{case}: port {kind} violated: {u} > {cap}");
         }
         // Dataflow + forwarding within regions.
         for (i, inst) in trace.iter() {
@@ -262,22 +300,19 @@ mod listsched_legality {
                 let fwd = machine.forwarding_between(pd.cluster as usize, pi.cluster as usize);
                 assert!(
                     pi.issue >= pd.finish + fwd as u64,
-                    "inst {i} issued before operand from {d} was visible"
+                    "{case}: inst {i} issued before operand from {d} was visible"
                 );
             }
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        #[test]
-        fn idealized_schedules_are_legal(
-            specs in proptest::collection::vec(super::inst_spec(), 8..250),
-            layout in super::any_layout(),
-        ) {
-            let trace = super::build_trace(&specs);
-            check_schedule_legality(&trace, layout);
+    #[test]
+    fn idealized_schedules_are_legal() {
+        for seed in 0..24 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let trace = super::build_trace(&super::inst_specs(&mut rng, 8..250));
+            let layout = super::any_layout(&mut rng);
+            check_schedule_legality(&format!("case seed {seed}"), &trace, layout);
         }
     }
 
@@ -286,8 +321,9 @@ mod listsched_legality {
         use clustercrit::trace::Benchmark;
         for bench in [Benchmark::Vpr, Benchmark::Mcf] {
             let trace = bench.generate(1, 2_000);
-            check_schedule_legality(&trace, ClusterLayout::C8x1w);
-            check_schedule_legality(&trace, ClusterLayout::C2x4w);
+            let case = format!("{bench:?} seed 1");
+            check_schedule_legality(&case, &trace, ClusterLayout::C8x1w);
+            check_schedule_legality(&case, &trace, ClusterLayout::C2x4w);
         }
     }
 }
