@@ -2,12 +2,12 @@
 //!
 //! A committed snapshot of the simulator's observable behaviour across
 //! the full benchmark × layout × policy grid at a fixed (small) scale:
-//! cycles, CPI, the aggregate event counters and the eight-way
-//! critical-path breakdown of every cell, plus one rendered schedule
-//! window. Snapshot tests compare freshly computed values against the
-//! committed files and fail with a readable first-difference report, so
-//! any change to simulator timing — intended or not — shows up in review
-//! as a diff of `results/golden/`.
+//! cycles, CPI, the aggregate event counters, the eight-way
+//! critical-path breakdown and the [`ccs_sim::SimResult::digest`] of
+//! every cell, plus one rendered schedule window. Snapshot tests compare
+//! freshly computed values against the committed files and fail with a
+//! readable first-difference report, so any change to simulator timing —
+//! intended or not — shows up in review as a diff of `results/golden/`.
 //!
 //! Every golden cell runs in *checked* mode, so regenerating or
 //! verifying the corpus also audits ~340 schedules against the
@@ -84,7 +84,7 @@ pub fn corpus_files(threads: usize) -> Vec<(String, String)> {
             out,
             "# layout policy cycles cpi mispredicts cond_branches l1_misses l1_accesses \
              global_values steer_stalls | fwd contention execute window fetch memlat \
-             brmispredict commit | schedule_digest cpi_bits"
+             brmispredict commit | digest cpi_bits"
         );
         for cell in cells {
             let o = cell.expect_outcome();
@@ -106,39 +106,16 @@ pub fn corpus_files(threads: usize) -> Vec<(String, String)> {
             for cat in CostCategory::ALL {
                 let _ = write!(out, " {}", o.analysis.breakdown.get(cat));
             }
-            let _ = write!(
-                out,
-                " | {:016x} {:016x}",
-                schedule_digest(&r.records),
-                r.cpi().to_bits()
-            );
+            // `SimResult::digest` folds every field of every instruction
+            // record into the line, so per-record drift fails the corpus
+            // even when the aggregates above happen to agree.
+            let _ = write!(out, " | {:016x} {:016x}", r.digest(), r.cpi().to_bits());
             out.push('\n');
         }
         files.push((format!("{}.txt", bench.name()), out));
     }
     files.push(("viz_schedule.txt".to_string(), viz_snapshot()));
     files
-}
-
-/// FNV-1a digest over the `Debug` rendering of every instruction
-/// record. The six-decimal CPI and aggregate counters in the snapshot
-/// line can stay unchanged while an individual instruction's schedule
-/// (stage cycles, cluster assignment, bound attribution, memory
-/// latency) silently shifts; the digest folds **every field of every
-/// record** into one value, so any per-record drift fails the corpus
-/// comparison even when the aggregates happen to agree.
-pub fn schedule_digest(records: &[ccs_sim::InstRecord]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut buf = String::new();
-    for r in records {
-        buf.clear();
-        let _ = write!(buf, "{r:?}");
-        for &b in buf.as_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
 }
 
 /// The rendered-schedule snapshot: a fixed window of a small
@@ -194,23 +171,6 @@ mod tests {
         assert!(a.contains("cl0"));
         assert!(a.contains("cl3"));
         assert!(a.lines().count() > 10);
-    }
-
-    #[test]
-    fn schedule_digest_sees_single_field_drift() {
-        let trace = Benchmark::Gap.generate(1, 200);
-        let config = MachineConfig::micro05_baseline();
-        let result = ccs_sim::simulate(&config, &trace, &mut ccs_sim::policies::LeastLoaded)
-            .expect("digest run cannot deadlock");
-        let base = schedule_digest(&result.records);
-        assert_eq!(base, schedule_digest(&result.records), "digest is pure");
-        let mut drifted = result.records.clone();
-        drifted[137].issue += 1;
-        assert_ne!(
-            base,
-            schedule_digest(&drifted),
-            "a one-cycle shift in one record must change the digest"
-        );
     }
 
     #[test]
