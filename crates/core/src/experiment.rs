@@ -161,30 +161,15 @@ pub fn run_cell(
     kind: PolicyKind,
     options: &RunOptions,
 ) -> Result<CellOutcome, CcsError> {
-    run_custom(config, trace, kind.config(), kind, options)
+    run_custom_cancellable(config, trace, kind.config(), kind, options, None)
 }
 
 /// Like [`run_cell`], but with an explicit [`PolicyConfig`](crate::PolicyConfig) — the entry
 /// point for ablation studies (stall-threshold sweeps, proactive-override
-/// sweeps). `kind` labels the outcome; the configuration governs the
-/// policy's behaviour.
-///
-/// # Errors
-///
-/// As for [`run_cell`].
-pub fn run_custom(
-    config: &MachineConfig,
-    trace: &Trace,
-    policy_config: crate::PolicyConfig,
-    kind: PolicyKind,
-    options: &RunOptions,
-) -> Result<CellOutcome, CcsError> {
-    run_custom_cancellable(config, trace, policy_config, kind, options, None)
-}
-
-/// Like [`run_custom`], with an optional cooperative cancel flag that a
-/// watchdog can raise mid-epoch — the entry point the resilient grid
-/// executor uses to enforce wall-clock deadlines.
+/// sweeps) — and an optional cooperative cancel flag that a watchdog can
+/// raise mid-epoch, which the resilient grid executor uses to enforce
+/// wall-clock deadlines. `kind` labels the outcome; the configuration
+/// governs the policy's behaviour.
 ///
 /// # Errors
 ///
@@ -212,27 +197,19 @@ pub fn run_custom_cancellable(
         // Metrics are gathered only on the measured epoch (training epochs
         // exist to converge the predictors, not to be reported on), through
         // the same engine body as the unobserved path.
-        let result = match (options.metrics && measured, options.checked) {
-            (false, false) => simulate_budgeted(config, trace, &mut policy, &budget)?,
-            (false, true) => {
-                ccs_sim::simulate_checked_budgeted(config, trace, &mut policy, &budget)?
-            }
-            (true, checked) => {
-                let mut observer = RunObserver::for_machine(config.cluster_count());
-                let result = if checked {
-                    ccs_sim::simulate_checked_observed(
-                        config,
-                        trace,
-                        &mut policy,
-                        &budget,
-                        &mut observer,
-                    )?
-                } else {
-                    ccs_sim::simulate_observed(config, trace, &mut policy, &budget, &mut observer)?
-                };
-                metrics = Some(observer.into_metrics());
-                result
-            }
+        let result = if options.metrics && measured {
+            let mut observer = RunObserver::for_machine(config.cluster_count());
+            let result =
+                ccs_sim::simulate_observed(config, trace, &mut policy, &budget, &mut observer)?;
+            metrics = Some(observer.into_metrics());
+            result
+        } else {
+            simulate_budgeted(config, trace, &mut policy, &budget)?
+        };
+        let result = if options.checked {
+            ccs_sim::verify(config, trace, result)?
+        } else {
+            result
         };
         let analysis = analyze(trace, &result);
         if options.checked && analysis.breakdown.total() != result.cycles {

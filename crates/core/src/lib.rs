@@ -65,7 +65,7 @@ pub use error::CcsError;
 pub use queue::{Admission, BoundedQueue};
 pub use shard::ShardMap;
 pub use experiment::{
-    run_cell, run_custom, run_custom_cancellable, CellOutcome, RunOptions, TrainingSource,
+    run_cell, run_custom_cancellable, CellOutcome, RunOptions, TrainingSource,
 };
 pub use grid::{
     aggregate_breakdown, aggregate_metrics, auto_threads, cells_run, fetch_cell_trace,

@@ -5,9 +5,9 @@
 //! must satisfy — issue-width and port caps, operand visibility under the
 //! forwarding model, in-order dispatch/commit, window and ROB occupancy,
 //! deterministic branch-predictor replay — and reports each violation
-//! with the offending cycle and instruction. [`simulate_checked`] wires
-//! the checker behind the engine as the `checked` run mode: it runs the
-//! production engine, then fails the run if any invariant is violated.
+//! with the offending cycle and instruction. [`verify`] gates a finished
+//! run on the checker — `verify(config, trace, simulate(…)?)` is the
+//! `checked` run mode: it fails the run if any invariant is violated.
 //!
 //! The checker deliberately shares no code with the engine's hot path:
 //! memory dependences are re-resolved with a plain `HashMap` sweep (not
@@ -16,8 +16,7 @@
 //! windows, and the predictor is replayed fresh. An optimization bug in
 //! the engine therefore cannot hide itself from the checker.
 
-use crate::engine::{simulate, simulate_budgeted, SimBudget, SimError};
-use crate::policy::SteeringPolicy;
+use crate::engine::SimError;
 use crate::record::{Cycle, ReadyBound};
 use crate::result::SimResult;
 use ccs_isa::{BranchClass, MachineConfig, OpClass, PortKind};
@@ -94,58 +93,6 @@ pub fn check_invariants(
     v.violations
         .sort_by(|a, b| (a.cycle, a.inst.map(DynIdx::raw)).cmp(&(b.cycle, b.inst.map(DynIdx::raw))));
     v.violations
-}
-
-/// Runs `trace` through the production engine and verifies the result
-/// with [`check_invariants`] — the `checked` run mode.
-///
-/// # Errors
-///
-/// Returns [`SimError::InvariantViolated`] carrying the first violation
-/// (and the total count) if the engine produced a structurally invalid
-/// schedule, or propagates the engine's own error.
-pub fn simulate_checked(
-    config: &MachineConfig,
-    trace: &Trace,
-    policy: &mut dyn SteeringPolicy,
-) -> Result<SimResult, SimError> {
-    let result = simulate(config, trace, policy)?;
-    verify(config, trace, result)
-}
-
-/// Runs `trace` like [`simulate_checked`], under the cooperative bounds
-/// in `budget` (see [`simulate_budgeted`]).
-///
-/// # Errors
-///
-/// [`simulate_checked`]'s errors, plus the budget outcomes
-/// [`SimError::BudgetExhausted`] and [`SimError::Cancelled`].
-pub fn simulate_checked_budgeted(
-    config: &MachineConfig,
-    trace: &Trace,
-    policy: &mut dyn SteeringPolicy,
-    budget: &SimBudget,
-) -> Result<SimResult, SimError> {
-    let result = simulate_budgeted(config, trace, policy, budget)?;
-    verify(config, trace, result)
-}
-
-/// Runs `trace` like [`simulate_checked_budgeted`], reporting
-/// observability events to `sink` (see
-/// [`simulate_observed`](crate::simulate_observed)).
-///
-/// # Errors
-///
-/// Exactly [`simulate_checked_budgeted`]'s errors.
-pub fn simulate_checked_observed<S: ccs_obs::MetricsSink>(
-    config: &MachineConfig,
-    trace: &Trace,
-    policy: &mut dyn SteeringPolicy,
-    budget: &SimBudget,
-    sink: &mut S,
-) -> Result<SimResult, SimError> {
-    let result = crate::engine::simulate_observed(config, trace, policy, budget, sink)?;
-    verify(config, trace, result)
 }
 
 /// Gates `result` on [`check_invariants`]: passes a clean result
@@ -588,6 +535,7 @@ fn reference_memory_deps(trace: &Trace) -> Vec<Option<u32>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::simulate;
     use crate::policies::LeastLoaded;
     use ccs_isa::ClusterLayout;
     use ccs_trace::Benchmark;
@@ -595,7 +543,8 @@ mod tests {
     fn checked_run(layout: ClusterLayout) -> SimResult {
         let trace = Benchmark::Vpr.generate(1, 2_000);
         let cfg = MachineConfig::micro05_baseline().with_layout(layout);
-        simulate_checked(&cfg, &trace, &mut LeastLoaded).expect("engine satisfies its invariants")
+        let result = simulate(&cfg, &trace, &mut LeastLoaded).expect("engine run");
+        verify(&cfg, &trace, result).expect("engine satisfies its invariants")
     }
 
     #[test]
@@ -692,9 +641,8 @@ mod tests {
         let trace = Benchmark::Gap.generate(1, 300);
         let cfg = MachineConfig::micro05_baseline();
         let result = simulate(&cfg, &trace, &mut LeastLoaded).unwrap();
-        // Confirm the checked entry point agrees with the plain engine on
-        // a sound run.
-        let checked = simulate_checked(&cfg, &trace, &mut LeastLoaded).unwrap();
+        // Confirm the checked gate passes a sound run through unchanged.
+        let checked = verify(&cfg, &trace, result.clone()).unwrap();
         assert_eq!(checked.cycles, result.cycles);
         assert_eq!(checked.records, result.records);
     }

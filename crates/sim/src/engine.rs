@@ -52,8 +52,8 @@ pub enum SimError {
         /// Instructions in the trace.
         total: usize,
     },
-    /// The `checked` run mode ([`simulate_checked`](crate::simulate_checked))
-    /// found the engine's schedule violating a structural invariant.
+    /// The `checked` run mode ([`verify`](crate::verify)) found the
+    /// engine's schedule violating a structural invariant.
     InvariantViolated {
         /// The first violation in (cycle, instruction) order.
         first: crate::check::Violation,

@@ -43,10 +43,7 @@ mod record;
 mod result;
 pub mod viz;
 
-pub use check::{
-    check_invariants, simulate_checked, simulate_checked_budgeted, simulate_checked_observed,
-    verify, Violation,
-};
+pub use check::{check_invariants, verify, Violation};
 pub use engine::{simulate, simulate_budgeted, simulate_observed, SimBudget, SimError};
 // Observability vocabulary, re-exported so engine callers need not depend
 // on `ccs-obs` directly.
