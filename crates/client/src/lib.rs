@@ -5,8 +5,9 @@
 //! input order. Backpressure is surfaced, not hidden —
 //! [`Client::submit_grid`] returns the server's typed busy reply as
 //! [`CcsError::Rejected`] with the retry hint, and
-//! [`Client::submit_grid_with_retry`] layers bounded honor-the-hint
-//! retries on top for callers that just want the grid done.
+//! [`Client::submit_grid_with_policy`] layers bounded, jittered
+//! honor-the-hint retries under a [`RetryPolicy`] on top for callers that
+//! just want the grid done.
 //!
 //! [`GridOutcome::exit_code`] mirrors the batch `grid_campaign` binary:
 //! `0` all cells ok, `1` any cell failed or timed out, `2` incomplete
@@ -401,29 +402,6 @@ impl Client {
                 other => return Err(Self::refusal(other)),
             }
         }
-    }
-
-    /// [`submit_grid`](Self::submit_grid) with the default
-    /// [`RetryPolicy`] bounded to `max_attempts`. Draining rejects are
-    /// returned immediately — the daemon is going away, and retrying
-    /// into it only delays the caller's own failure handling.
-    ///
-    /// # Errors
-    ///
-    /// As for [`submit_grid`](Self::submit_grid);
-    /// [`CcsError::RetriesExhausted`] once the attempt or wall-clock
-    /// budget is spent on busy replies.
-    pub fn submit_grid_with_retry(
-        &mut self,
-        cells: &[WireCellSpec],
-        max_attempts: u32,
-        on_cell: impl FnMut(&WireCellRecord),
-    ) -> Result<GridOutcome, CcsError> {
-        let policy = RetryPolicy {
-            max_attempts: max_attempts.max(1),
-            ..RetryPolicy::default()
-        };
-        self.submit_grid_with_policy(cells, &policy, on_cell)
     }
 
     /// [`submit_grid`](Self::submit_grid) under an explicit

@@ -14,7 +14,7 @@
 //! streams per-cell results as they finish, and exits with the same
 //! codes: `0` all ok, `1` any failure/timeout, `2` incomplete.
 
-use ccs_client::Client;
+use ccs_client::{Client, RetryPolicy};
 use ccs_core::PolicyKind;
 use ccs_isa::ClusterLayout;
 use ccs_serve::WireCellSpec;
@@ -176,7 +176,11 @@ fn main() {
 fn run_grid(client: &mut Client, flags: &GridFlags) -> i32 {
     let cells = build_grid(flags);
     println!("submitting {} cells", cells.len());
-    let outcome = client.submit_grid_with_retry(&cells, flags.retries, |record| {
+    let policy = RetryPolicy {
+        max_attempts: flags.retries,
+        ..RetryPolicy::default()
+    };
+    let outcome = client.submit_grid_with_policy(&cells, &policy, |record| {
         let detail = if record.is_ok() {
             format!("CPI {:.4}{}", record.cpi(), if record.cached { " (cached)" } else { "" })
         } else {

@@ -4,7 +4,7 @@
 //! client killed mid-request. The daemon must answer garbage with typed
 //! errors, never die, and leave a parseable journal.
 
-use ccs_client::Client;
+use ccs_client::{Client, RetryPolicy};
 use ccs_serve::{
     frame_bytes, FrameReader, JournalEvent, Request, Response, ServeConfig, Server, WireCellSpec,
 };
@@ -218,8 +218,12 @@ fn interleaved_clients_each_get_their_own_results() {
                 let mut client = Client::connect(&addr.to_string()).expect("connect");
                 let cells: Vec<WireCellSpec> =
                     (0..3).map(|i| sample_cell(1 + ((k + i) % 4))).collect();
+                let policy = RetryPolicy {
+                    max_attempts: 20,
+                    ..RetryPolicy::default()
+                };
                 let outcome = client
-                    .submit_grid_with_retry(&cells, 20, |_| {})
+                    .submit_grid_with_policy(&cells, &policy, |_| {})
                     .expect("grid");
                 assert_eq!(outcome.exit_code(), 0, "client {k}");
                 assert!(outcome.is_complete(), "client {k}");
@@ -277,8 +281,12 @@ fn killed_client_leaves_daemon_alive_and_journal_parseable() {
     // The daemon survives and still serves other clients.
     assert_alive(addr);
     let mut client = Client::connect(&addr.to_string()).expect("connect");
+    let policy = RetryPolicy {
+        max_attempts: 20,
+        ..RetryPolicy::default()
+    };
     let outcome = client
-        .submit_grid_with_retry(&[sample_cell(50)], 20, |_| {})
+        .submit_grid_with_policy(&[sample_cell(50)], &policy, |_| {})
         .expect("grid after the kill");
     assert_eq!(outcome.exit_code(), 0);
 
@@ -390,7 +398,6 @@ fn default_daemon_admits_a_grid_larger_than_256_cells() {
 
 #[test]
 fn busy_retries_exhaust_into_a_typed_error() {
-    use ccs_client::RetryPolicy;
 
     // A fake daemon that answers every frame with `busy`, forever.
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
