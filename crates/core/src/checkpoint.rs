@@ -27,6 +27,7 @@
 
 use crate::error::CcsError;
 use crate::grid::{evaluate_cell, run_cells, CellResult, CellSpec, CellStatus, Resilience};
+use crate::json;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::fs::OpenOptions;
@@ -365,7 +366,7 @@ impl CheckpointRecord {
     pub fn to_json_line(&self) -> String {
         let mut s = String::with_capacity(128);
         s.push_str("{\"key\":\"");
-        escape_into(&self.key, &mut s);
+        json::escape_into(&self.key, &mut s);
         let _ = write!(
             s,
             "\",\"status\":\"{}\",\"attempts\":{},\"cycles\":{},\"cpi_bits\":{},\"digest\":{}",
@@ -390,7 +391,7 @@ impl CheckpointRecord {
             None => s.push_str(",\"error\":null}"),
             Some(e) => {
                 s.push_str(",\"error\":\"");
-                escape_into(e, &mut s);
+                json::escape_into(e, &mut s);
                 s.push_str("\"}");
             }
         }
@@ -404,106 +405,20 @@ impl CheckpointRecord {
             return None;
         }
         Some(CheckpointRecord {
-            key: parse_str_field(line, "key")?,
-            status: parse_str_field(line, "status")?,
-            attempts: u32::try_from(parse_u64_field(line, "attempts")?).ok()?,
-            cycles: parse_u64_field(line, "cycles")?,
-            cpi_bits: parse_u64_field(line, "cpi_bits")?,
-            digest: parse_u64_field(line, "digest")?,
+            key: json::str_field(line, "key")?,
+            status: json::str_field(line, "status")?,
+            attempts: u32::try_from(json::u64_field(line, "attempts")?).ok()?,
+            cycles: json::u64_field(line, "cycles")?,
+            cpi_bits: json::u64_field(line, "cpi_bits")?,
+            digest: json::u64_field(line, "digest")?,
             // Tolerant: `null` or an absent field both read as `None`.
-            metrics_digest: if line.contains("\"metrics_digest\":null") {
-                None
-            } else {
-                parse_u64_field(line, "metrics_digest")
-            },
-            error: parse_opt_str_field(line, "error")?,
+            metrics_digest: json::opt_u64_field(line, "metrics_digest").flatten(),
+            error: json::opt_str_field(line, "error")?,
             // Tolerant: absent in prediction-free manifests.
-            predicted_lo: parse_u64_field(line, "predicted_lo"),
-            predicted_hi: parse_u64_field(line, "predicted_hi"),
+            predicted_lo: json::u64_field(line, "predicted_lo"),
+            predicted_hi: json::u64_field(line, "predicted_hi"),
         })
     }
-}
-
-/// Minimal JSON string escaping for the characters our renderings can
-/// contain.
-fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if let Some(c) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    out.push(c);
-                }
-            }
-            Some(other) => out.push(other),
-            None => {}
-        }
-    }
-    out
-}
-
-/// The raw (still escaped) contents of `"name":"..."`, or `None`.
-fn raw_str_field<'a>(line: &'a str, name: &str) -> Option<&'a str> {
-    let tag = format!("\"{name}\":\"");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    // Closing quote: first '"' not preceded by an odd run of backslashes.
-    let bytes = rest.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2,
-            b'"' => return Some(&rest[..i]),
-            _ => i += 1,
-        }
-    }
-    None
-}
-
-fn parse_str_field(line: &str, name: &str) -> Option<String> {
-    raw_str_field(line, name).map(unescape)
-}
-
-fn parse_opt_str_field(line: &str, name: &str) -> Option<Option<String>> {
-    if line.contains(&format!("\"{name}\":null")) {
-        return Some(None);
-    }
-    parse_str_field(line, name).map(Some)
-}
-
-fn parse_u64_field(line: &str, name: &str) -> Option<u64> {
-    let tag = format!("\"{name}\":");
-    let start = line.find(&tag)? + tag.len();
-    let digits: &str = &line[start..];
-    let end = digits
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(digits.len());
-    digits[..end].parse().ok()
 }
 
 /// Loads a manifest into a key-indexed map. A later record for a key
@@ -534,8 +449,8 @@ pub fn load_manifest(path: &Path) -> Result<HashMap<String, CheckpointRecord>, C
     }
     let mut lines = text.lines();
     let first = lines.next().unwrap_or_default();
-    let marker = parse_str_field(first, "manifest");
-    let schema = parse_u64_field(first, "schema");
+    let marker = json::str_field(first, "manifest");
+    let schema = json::u64_field(first, "schema");
     match (marker.as_deref(), schema) {
         (Some("ccs-grid-manifest"), Some(s)) if s == MANIFEST_SCHEMA as u64 => {}
         (Some("ccs-grid-manifest"), Some(s)) => {

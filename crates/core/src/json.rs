@@ -1,16 +1,17 @@
-//! Minimal hand-rolled JSON helpers for the wire protocol.
+//! Minimal hand-rolled JSON helpers: the one codec of checkpoint
+//! manifests, the daemon's wire protocol and its journal.
 //!
 //! The workspace deliberately carries no JSON dependency (the vendored
-//! `serde` is an offline stub), so the protocol layer renders and
-//! parses its flat payloads with the same style of field scanners the
-//! checkpoint manifest uses — extended with a balanced-bracket array
-//! splitter for the one nested shape we need (`"cells":[{...},...]`).
+//! `serde` is an offline stub), so each of these renders and parses its
+//! flat payloads with these field scanners, plus a balanced-bracket
+//! array splitter for the one nested shape the protocol needs
+//! (`"cells":[{...},...]`).
 //!
 //! These are *scanners*, not a general JSON parser: a field lookup
 //! returns the first occurrence of `"name":` anywhere in the payload,
 //! so every payload shape keeps its field names unique across nesting
-//! levels (the protocol module upholds this). Malformed input yields
-//! `None`, never a panic — the fuzz suite leans on that.
+//! levels (the manifest and protocol renderers uphold this). Malformed
+//! input yields `None`, never a panic — the fuzz suite leans on that.
 
 use std::fmt::Write as _;
 

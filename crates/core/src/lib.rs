@@ -53,6 +53,7 @@ pub mod checkpoint;
 pub mod error;
 mod experiment;
 pub mod grid;
+pub mod json;
 mod policy;
 pub mod queue;
 pub mod shard;

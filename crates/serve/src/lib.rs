@@ -36,12 +36,12 @@
 
 pub mod cache;
 pub mod journal;
-pub mod json;
 pub mod protocol;
 pub mod server;
 pub mod wire;
 
 pub use cache::ResultCache;
+pub use ccs_core::json;
 pub use journal::{
     load_journal, replay_journal, Journal, JournalEvent, ReplayState, JOURNAL_VERSION,
 };
