@@ -144,11 +144,18 @@ wait "$CAMPAIGN_PID" || CAMPAIGN_EXIT=$?
 [ "$CAMPAIGN_EXIT" -eq 0 ] || {
     echo "sharded campaign exited $CAMPAIGN_EXIT despite failover"
     cat "$SHARD_DIR/campaign.log"; exit 1; }
-manifest_digests() { sed -n 's/.*"key":"\([^"]*\)".*"digest":"\([^"]*\)".*/\1 \2/p' "$1" | sort; }
+# Manifests write `"digest":<u64>`, unquoted. The scan must pair every
+# record, or the diff below could compare two empty streams and pass.
+manifest_digests() { sed -n 's/.*"key":"\([^"]*\)".*"digest":\([0-9][0-9]*\).*/\1 \2/p' "$1" | sort; }
+LOCAL_RECORDS="$(grep -c '"key":' "$SHARD_DIR/local.jsonl" || true)"
+LOCAL_PAIRS="$(manifest_digests "$SHARD_DIR/local.jsonl" | wc -l)"
+[ "$LOCAL_PAIRS" -gt 0 ] && [ "$LOCAL_PAIRS" -eq "$LOCAL_RECORDS" ] || {
+    echo "digest scan paired $LOCAL_PAIRS keys in a manifest of $LOCAL_RECORDS records"
+    exit 1; }
 diff <(manifest_digests "$SHARD_DIR/local.jsonl") \
      <(manifest_digests "$SHARD_DIR/cluster.jsonl") \
     || { echo "sharded campaign digests diverge from the batch run"; exit 1; }
-echo "    campaign survived the kill; digests bit-identical to the batch run"
+echo "    campaign survived the kill; $LOCAL_PAIRS digests bit-identical to the batch run"
 boot_shard "$SHARD_DIR/shard3.log" "$SHARD_DIR/shard2.jsonl" "$SHARD1_ADDR" recover
 SHARD3_PID=$!
 SHARD3_ADDR="$(shard_addr "$SHARD_DIR/shard3.log" "$SHARD3_PID")"
