@@ -1,5 +1,9 @@
 //! Property-based tests: random traces and configurations must preserve
 //! the simulator's and analyses' core invariants.
+//!
+//! Each property runs a fixed number of cases. Case `seed` draws all of
+//! its inputs from `StdRng::seed_from_u64(seed)`, and every assertion
+//! names the seed, so a failing case replays alone.
 
 use clustercrit::critpath::analyze;
 use clustercrit::isa::{
@@ -100,9 +104,7 @@ fn any_layout(rng: &mut StdRng) -> ClusterLayout {
     ClusterLayout::ALL[rng.random_range(0..ClusterLayout::ALL.len())]
 }
 
-/// Property case `seed` draws all of its inputs from
-/// `StdRng::seed_from_u64(seed)`, and every assertion names the seed, so
-/// a failing case replays alone.
+/// `seed` names the case in every assertion message.
 fn check_invariants(
     seed: u64,
     trace: &Trace,
